@@ -1,25 +1,26 @@
 //! Ablation: lock-free vs lock-based IPC queues (paper §3.5).
 //!
 //! The paper asserts lock-free synchronization "is more efficient than the
-//! lock-based synchronization"; this bench quantifies it for the three
-//! shipped implementations, same-thread (pure queue cost) and cross-thread
+//! lock-based synchronization"; this bench quantifies it for every ring in
+//! `lvrm-ipc` — the runtime's Lamport and VLink rings plus the FastForward
+//! and mutex ablation rings — same-thread (pure queue cost) and cross-thread
 //! (cache-coherence cost included).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lvrm_ipc::{queue, Full, QueueKind};
+use lvrm_ipc::{for_each_ring, Full};
 
 fn same_thread(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_queue/same_thread");
     g.throughput(Throughput::Elements(1));
-    for kind in QueueKind::ALL {
-        g.bench_with_input(BenchmarkId::from_parameter(kind.name()), &kind, |b, &kind| {
-            let (mut tx, mut rx) = queue::<u64>(kind, 1024);
+    for_each_ring!(|label, new| {
+        g.bench_function(BenchmarkId::from_parameter(label), |b| {
+            let (mut tx, mut rx) = new(1024);
             b.iter(|| {
-                tx.try_send(std::hint::black_box(42)).unwrap();
+                tx.try_send(std::hint::black_box(42u64)).unwrap();
                 std::hint::black_box(rx.try_recv().unwrap());
             });
         });
-    }
+    });
     g.finish();
 }
 
@@ -27,10 +28,10 @@ fn cross_thread(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_queue/cross_thread_100k");
     g.sample_size(10);
     g.throughput(Throughput::Elements(100_000));
-    for kind in QueueKind::ALL {
-        g.bench_with_input(BenchmarkId::from_parameter(kind.name()), &kind, |b, &kind| {
+    for_each_ring!(|label, new| {
+        g.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                let (mut tx, mut rx) = queue::<u64>(kind, 1024);
+                let (mut tx, mut rx) = new(1024);
                 let producer = std::thread::spawn(move || {
                     for i in 0..100_000u64 {
                         let mut v = i;
@@ -56,7 +57,7 @@ fn cross_thread(c: &mut Criterion) {
                 producer.join().unwrap();
             });
         });
-    }
+    });
     g.finish();
 }
 
@@ -67,30 +68,26 @@ fn cross_thread(c: &mut Criterion) {
 /// scheduler noise, so it isolates exactly what batching buys.
 fn batch_same_thread(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_queue/batch_same_thread");
-    for kind in QueueKind::ALL {
+    for_each_ring!(|label, new| {
         for batch in [1usize, 8, 32, 256] {
             g.throughput(Throughput::Elements(batch as u64));
-            let id = format!("{}/b{batch}", kind.name());
-            g.bench_with_input(
-                BenchmarkId::from_parameter(id),
-                &(kind, batch),
-                |b, &(kind, batch)| {
-                    let (mut tx, mut rx) = queue::<u64>(kind, 1024);
-                    let mut pending: Vec<u64> = Vec::with_capacity(batch);
-                    let mut out: Vec<u64> = Vec::with_capacity(batch);
-                    b.iter(|| {
-                        pending.clear();
-                        pending.extend(0..batch as u64);
-                        let sent = tx.try_send_batch(std::hint::black_box(&mut pending));
-                        out.clear();
-                        let got = rx.try_recv_batch(&mut out, batch);
-                        assert_eq!((sent, got), (batch, batch));
-                        std::hint::black_box(out.last().copied())
-                    });
-                },
-            );
+            let id = format!("{label}/b{batch}");
+            g.bench_with_input(BenchmarkId::from_parameter(id), &batch, |b, &batch| {
+                let (mut tx, mut rx) = new(1024);
+                let mut pending: Vec<u64> = Vec::with_capacity(batch);
+                let mut out: Vec<u64> = Vec::with_capacity(batch);
+                b.iter(|| {
+                    pending.clear();
+                    pending.extend(0..batch as u64);
+                    let sent = tx.try_send_batch(std::hint::black_box(&mut pending));
+                    out.clear();
+                    let got = rx.try_recv_batch(&mut out, batch);
+                    assert_eq!((sent, got), (batch, batch));
+                    std::hint::black_box(out.last().copied())
+                });
+            });
         }
-    }
+    });
     g.finish();
 }
 
@@ -104,45 +101,41 @@ fn batch_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_queue/batch_cross_thread_100k");
     g.sample_size(10);
     g.throughput(Throughput::Elements(100_000));
-    for kind in QueueKind::ALL {
+    for_each_ring!(|label, new| {
         for batch in [1usize, 8, 32, 256] {
-            let id = format!("{}/b{batch}", kind.name());
-            g.bench_with_input(
-                BenchmarkId::from_parameter(id),
-                &(kind, batch),
-                |b, &(kind, batch)| {
-                    b.iter(|| {
-                        let (mut tx, mut rx) = queue::<u64>(kind, 1024);
-                        let producer = std::thread::spawn(move || {
-                            let mut pending: Vec<u64> = Vec::with_capacity(batch);
-                            let mut next = 0u64;
-                            while next < 100_000 || !pending.is_empty() {
-                                while pending.len() < batch && next < 100_000 {
-                                    pending.push(next);
-                                    next += 1;
-                                }
-                                if tx.try_send_batch(&mut pending) == 0 {
-                                    std::hint::spin_loop();
-                                }
+            let id = format!("{label}/b{batch}");
+            g.bench_with_input(BenchmarkId::from_parameter(id), &batch, |b, &batch| {
+                b.iter(|| {
+                    let (mut tx, mut rx) = new(1024);
+                    let producer = std::thread::spawn(move || {
+                        let mut pending: Vec<u64> = Vec::with_capacity(batch);
+                        let mut next = 0u64;
+                        while next < 100_000 || !pending.is_empty() {
+                            while pending.len() < batch && next < 100_000 {
+                                pending.push(next);
+                                next += 1;
                             }
-                        });
-                        let mut out: Vec<u64> = Vec::with_capacity(batch);
-                        let mut got = 0usize;
-                        while got < 100_000 {
-                            out.clear();
-                            let n = rx.try_recv_batch(&mut out, batch);
-                            if n == 0 {
+                            if tx.try_send_batch(&mut pending) == 0 {
                                 std::hint::spin_loop();
-                            } else {
-                                got += n;
                             }
                         }
-                        producer.join().unwrap();
                     });
-                },
-            );
+                    let mut out: Vec<u64> = Vec::with_capacity(batch);
+                    let mut got = 0usize;
+                    while got < 100_000 {
+                        out.clear();
+                        let n = rx.try_recv_batch(&mut out, batch);
+                        if n == 0 {
+                            std::hint::spin_loop();
+                        } else {
+                            got += n;
+                        }
+                    }
+                    producer.join().unwrap();
+                });
+            });
         }
-    }
+    });
     g.finish();
 }
 
@@ -152,11 +145,11 @@ fn ping_pong(c: &mut Criterion) {
     let mut g = c.benchmark_group("ipc_queue/ping_pong_1k_roundtrips");
     g.sample_size(10);
     g.throughput(Throughput::Elements(1_000));
-    for kind in QueueKind::ALL {
-        g.bench_with_input(BenchmarkId::from_parameter(kind.name()), &kind, |b, &kind| {
+    for_each_ring!(|label, new| {
+        g.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
-                let (mut ping_tx, mut ping_rx) = queue::<u64>(kind, 16);
-                let (mut pong_tx, mut pong_rx) = queue::<u64>(kind, 16);
+                let (mut ping_tx, mut ping_rx) = new(16);
+                let (mut pong_tx, mut pong_rx) = new(16);
                 let echo = std::thread::spawn(move || {
                     for _ in 0..1_000u32 {
                         loop {
@@ -185,7 +178,7 @@ fn ping_pong(c: &mut Criterion) {
                 echo.join().unwrap();
             });
         });
-    }
+    });
     g.finish();
 }
 

@@ -1,7 +1,8 @@
 //! `bench-report`: the machine-readable perf trajectory for the queue-kind
-//! sweep. Runs a fixed matrix of benches over every [`QueueKind`] and writes
+//! sweep. Runs a fixed matrix of monitor benches over every [`QueueKind`]
+//! (plus the raw-ring ablation over every ring in `lvrm-ipc`) and writes
 //! one flat JSON array of rows, schema
-//! `{bench, queue_kind, batch, metric, value, unit}`, to `BENCH_10.json` at
+//! `{bench, queue_kind, batch, metric, value, unit}`, to `BENCH_12.json` at
 //! the repo root (override with `--out <path>`). The schema, its
 //! validation, and the cross-report regression gate live in
 //! [`lvrm_bench::trajectory`]; `bench-diff` compares two reports.
@@ -9,14 +10,15 @@
 //! Benches:
 //!
 //! - `queue_ops` — raw ring transfer between two real threads, per batch
-//!   size (wall clock, Mops/s).
+//!   size (wall clock, Mops/s), for all four rings: `lamport`, `vlink`, and
+//!   the `fastforward`/`mutex` ablation rings that are not queue kinds.
 //! - `relay` — end-to-end ingress→VRI→egress relay through `Lvrm` with an
 //!   in-process host (wall clock, kfps).
 //! - `dispatch_uniform` / `dispatch_skew` — *deterministic simulated*
 //!   dispatch goodput over repeated burst-drain cycles under a quota-paced
 //!   host: every VRI services a fixed frame quota per simulated
-//!   millisecond, and the `skew` profile slows one VRI 10×. Classic kinds
-//!   commit each frame to one VRI's SPSC queue at dispatch time, so a
+//!   millisecond, and the `skew` profile slows one VRI 10×. Under `lamport`
+//!   each frame is committed to one VRI's SPSC queue at dispatch time, so a
 //!   backlog queued behind the slowed instance drains at its pace; under
 //!   `vlink` the burst sits in the shared ring and the fast instances
 //!   steal through it (see `dispatch_goodput`).
@@ -69,7 +71,7 @@ use lvrm_core::{
     ShardConfig, VriHost, VriSpec,
 };
 use lvrm_ipc::channels::Work;
-use lvrm_ipc::{queue, Full, QueueKind, VriEndpoint};
+use lvrm_ipc::{for_each_ring, Full, QueueKind, VriEndpoint};
 use lvrm_net::{Frame, FrameBuilder};
 use lvrm_router::{RouterAction, VirtualRouter};
 
@@ -77,59 +79,64 @@ const BATCHES: &[usize] = &[1, 32, 256];
 
 // ------------------------------------------------------------ queue_ops
 
-/// Push `total` u64s through one queue between two real threads, in bursts
-/// of `batch`; returns Mops/s of wall time.
-fn queue_ops(kind: QueueKind, batch: usize, total: u64) -> f64 {
-    let (mut tx, mut rx) = queue::<u64>(kind, 1024);
-    let start = std::time::Instant::now();
-    let t = std::thread::spawn(move || {
-        if batch == 1 {
-            for i in 0..total {
-                let mut v = i;
-                loop {
-                    match tx.try_send(v) {
-                        Ok(()) => break,
-                        Err(Full(b)) => {
-                            v = b;
-                            std::thread::yield_now();
+/// Push `total` u64s through a fresh ring `$new(1024)` between two real
+/// threads, in bursts of `batch`; returns Mops/s of wall time. A macro so
+/// one body drives every ring in `lvrm-ipc`, which share method names but
+/// no trait.
+macro_rules! queue_ops {
+    ($new:expr, $batch:expr, $total:expr) => {{
+        let (batch, total): (usize, u64) = ($batch, $total);
+        let (mut tx, mut rx) = $new(1024);
+        let start = std::time::Instant::now();
+        let t = std::thread::spawn(move || {
+            if batch == 1 {
+                for i in 0..total {
+                    let mut v = i;
+                    loop {
+                        match tx.try_send(v) {
+                            Ok(()) => break,
+                            Err(Full(b)) => {
+                                v = b;
+                                std::thread::yield_now();
+                            }
                         }
                     }
                 }
-            }
-        } else {
-            let mut pending: Vec<u64> = Vec::with_capacity(batch);
-            let mut next = 0u64;
-            while next < total || !pending.is_empty() {
-                while pending.len() < batch && next < total {
-                    pending.push(next);
-                    next += 1;
+            } else {
+                let mut pending: Vec<u64> = Vec::with_capacity(batch);
+                let mut next = 0u64;
+                while next < total || !pending.is_empty() {
+                    while pending.len() < batch && next < total {
+                        pending.push(next);
+                        next += 1;
+                    }
+                    if tx.try_send_batch(&mut pending) == 0 {
+                        std::thread::yield_now();
+                    }
                 }
-                if tx.try_send_batch(&mut pending) == 0 {
+            }
+        });
+        let mut got = 0u64;
+        let mut out: Vec<u64> = Vec::with_capacity(batch);
+        while got < total {
+            if batch == 1 {
+                if rx.try_recv().is_some() {
+                    got += 1;
+                } else {
                     std::thread::yield_now();
                 }
-            }
-        }
-    });
-    let mut got = 0u64;
-    let mut out: Vec<u64> = Vec::with_capacity(batch);
-    while got < total {
-        if batch == 1 {
-            if rx.try_recv().is_some() {
-                got += 1;
             } else {
-                std::thread::yield_now();
+                out.clear();
+                let n = rx.try_recv_batch(&mut out, batch);
+                if n == 0 {
+                    std::thread::yield_now();
+                }
+                got += n as u64;
             }
-        } else {
-            out.clear();
-            let n = rx.try_recv_batch(&mut out, batch);
-            if n == 0 {
-                std::thread::yield_now();
-            }
-            got += n as u64;
         }
-    }
-    t.join().unwrap();
-    total as f64 / start.elapsed().as_secs_f64() / 1e6
+        t.join().unwrap();
+        total as f64 / start.elapsed().as_secs_f64() / 1e6
+    }};
 }
 
 // ------------------------------------------------------------ relay
@@ -260,7 +267,7 @@ const CYCLE_FRAMES: usize = VRIS * 232;
 /// fully delivered. `slow_first` applies the 10× slowdown to the
 /// first-spawned VRI.
 ///
-/// This is where dispatch policy earns its keep. The classic kinds commit
+/// This is where dispatch policy earns its keep. Pinned dispatch commits
 /// every frame to one VRI's SPSC queue at dispatch time, so the burst's
 /// share queued behind the slowed instance drains at one-tenth speed while
 /// its siblings sit idle — JSQ spreads by queue length *at dispatch*, and
@@ -716,7 +723,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
         println!(
             "scenario       {:>11} million_flows: {tracked} tracked ({tracked_pct:5.1}%), \
              goodput {goodput_pct:5.1}%, conservation {}",
-            kind.name(),
+            kind.as_str(),
             if ok { "ok" } else { "VIOLATED" },
         );
         let q = kind.as_str();
@@ -753,7 +760,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
             println!(
                 "scenario       {:>11} {}: protected goodput {goodput_pct:5.1}%, \
                  shed {} frames, conservation {}",
-                kind.name(),
+                kind.as_str(),
                 &bench["scenario_".len()..],
                 report.shed_early(),
                 if ok { "ok" } else { "VIOLATED" },
@@ -789,7 +796,7 @@ fn repl_scaling_rows(rows: &mut Vec<Row>) {
         println!(
             "repl_scaling   {:>11}: pinned {base:6.1} Mbps, replicated {x2:4.2}x @2 VRIs, \
              {x4:4.2}x @4 VRIs, conservation {}",
-            kind.name(),
+            kind.as_str(),
             if ok { "ok" } else { "VIOLATED" },
         );
         let q = kind.as_str();
@@ -815,7 +822,7 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
+        .unwrap_or_else(|| "BENCH_12.json".to_string());
     for a in &args {
         if a != "--smoke" && a != "--out" && !out_path.eq(a) {
             eprintln!("usage: bench-report [--smoke] [--out <path>]");
@@ -830,17 +837,19 @@ fn main() {
     };
 
     let mut rows: Vec<Row> = Vec::new();
-    for kind in QueueKind::ALL {
+    // The queue ablation sweeps every ring in `lvrm-ipc`; the monitor benches
+    // below sweep the runtime's queue kinds.
+    for_each_ring!(|label, new| {
         for &batch in BATCHES {
-            let mops = queue_ops(kind, batch, ops_total);
-            println!("queue_ops      {:>11} batch {batch:>3}: {mops:8.2} Mops/s", kind.name());
-            rows.push(Row::new("queue_ops", kind.as_str(), batch, "throughput", mops, "mops"));
+            let mops = queue_ops!(new, batch, ops_total);
+            println!("queue_ops      {label:>11} batch {batch:>3}: {mops:8.2} Mops/s");
+            rows.push(Row::new("queue_ops", label, batch, "throughput", mops, "mops"));
         }
-    }
+    });
     for kind in QueueKind::ALL {
         for &batch in BATCHES {
             let kfps = relay(kind, batch, relay_total);
-            println!("relay          {:>11} batch {batch:>3}: {kfps:8.0} kfps", kind.name());
+            println!("relay          {:>11} batch {batch:>3}: {kfps:8.0} kfps", kind.as_str());
             rows.push(Row::new("relay", kind.as_str(), batch, "throughput", kfps, "kfps"));
         }
     }
@@ -852,7 +861,7 @@ fn main() {
             let s = dispatch_goodput(kind, batch, cycles, true);
             println!(
                 "dispatch       {:>11} batch {batch:>3}: uniform {u:8.1} kfps   skew {s:8.1} kfps",
-                kind.name()
+                kind.as_str()
             );
             uniform.insert((kind, batch), u);
             skew.insert((kind, batch), s);
@@ -862,7 +871,7 @@ fn main() {
     }
     for kind in QueueKind::ALL {
         let pct = overload_goodput_pct(kind, overload_steps);
-        println!("overload       {:>11} batch  32: {pct:8.1} % goodput", kind.name());
+        println!("overload       {:>11} batch  32: {pct:8.1} % goodput", kind.as_str());
         rows.push(Row::new("overload", kind.as_str(), 32, "goodput_pct", pct, "pct"));
     }
 
@@ -893,7 +902,7 @@ fn main() {
         let (ms, lag) = ha_failover(kind, 200);
         println!(
             "ha_failover    {:>11}: promoted in {ms:6.1} ms (sim), max delta lag {lag:.0}",
-            kind.name()
+            kind.as_str()
         );
         rows.push(Row::new("ha_failover", kind.as_str(), 1, "failover_time", ms, "ms"));
         rows.push(Row::new("ha_failover", kind.as_str(), 1, "delta_lag", lag, "deltas"));
@@ -903,7 +912,7 @@ fn main() {
         let (ms, ok) = shard_takeover(kind);
         println!(
             "shard_takeover {:>11}: re-homed in {ms:6.1} ms (sim), conservation {}",
-            kind.name(),
+            kind.as_str(),
             if ok { "ok" } else { "VIOLATED" },
         );
         rows.push(Row::new("shard_takeover", kind.as_str(), 1, "failover_time", ms, "ms"));
@@ -928,7 +937,7 @@ fn main() {
             println!(
                 "repl_threads   {:>11}: pinned {pinned:6.1} kfps, replicated {replicated:6.1} kfps \
                  ({:.2}x), conservation {}",
-                kind.name(),
+                kind.as_str(),
                 replicated / pinned,
                 if ok { "ok" } else { "VIOLATED" },
             );

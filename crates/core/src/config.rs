@@ -215,7 +215,10 @@ impl ShardConfig {
 /// Lamport queue, dynamic fixed-threshold allocation, and frame-based JSQ.
 #[derive(Clone, Debug)]
 pub struct LvrmConfig {
-    /// IPC queue implementation (§3.5).
+    /// Dispatch fabric (§3.5): `Lamport` pins frames to per-VRI SPSC
+    /// queues; `VLink` adds the shared per-VR ingress ring (see
+    /// [`LvrmConfig::vlink_fabric`]). Point-to-point queues are Lamport
+    /// rings either way.
     pub queue_kind: QueueKind,
     /// Data-queue capacity per direction per VRI, frames.
     pub data_queue_capacity: usize,

@@ -731,13 +731,11 @@ mod tests {
     use super::*;
     use crate::socket::MemTraceAdapter;
     use crate::topology::CoreId;
-    use lvrm_ipc::QueueKind;
     use lvrm_net::{Trace, TraceSpec};
     use lvrm_router::{FastVr, RouteTable};
 
     fn spawn(host: &mut FaultyHost<RecordingHost>, vri: u32) {
-        let (_chans, endpoint) =
-            lvrm_ipc::channels::vri_channels::<Frame>(QueueKind::Lamport, 8, 4);
+        let (_chans, endpoint) = lvrm_ipc::channels::vri_channels::<Frame>(8, 4, None);
         host.spawn_vri(
             VriSpec { vr: VrId(0), vri: VriId(vri), core: CoreId(vri as u16) },
             endpoint,

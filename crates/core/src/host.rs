@@ -241,7 +241,6 @@ impl RecordingHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvrm_ipc::QueueKind;
     use lvrm_router::{FastVr, RouteTable};
 
     fn frame() -> Frame {
@@ -255,8 +254,7 @@ mod tests {
     #[test]
     fn recording_host_tracks_lifecycle() {
         let mut host = RecordingHost::default();
-        let (mut chans, endpoint) =
-            lvrm_ipc::channels::vri_channels::<Frame>(QueueKind::Lamport, 8, 4);
+        let (mut chans, endpoint) = lvrm_ipc::channels::vri_channels::<Frame>(8, 4, None);
         let vr = FastVr::new("t", RouteTable::new());
         let spec = VriSpec { vr: VrId(0), vri: VriId(1), core: CoreId(2) };
         host.spawn_vri(spec, endpoint, Box::new(vr));
@@ -276,8 +274,7 @@ mod tests {
     #[test]
     fn crashed_endpoint_is_reapable_with_frames_intact() {
         let mut host = RecordingHost::default();
-        let (mut chans, endpoint) =
-            lvrm_ipc::channels::vri_channels::<Frame>(QueueKind::Lamport, 8, 4);
+        let (mut chans, endpoint) = lvrm_ipc::channels::vri_channels::<Frame>(8, 4, None);
         let vr = FastVr::new("t", RouteTable::new());
         host.spawn_vri(
             VriSpec { vr: VrId(0), vri: VriId(1), core: CoreId(2) },
@@ -300,8 +297,7 @@ mod tests {
     #[test]
     fn stalled_vri_is_skipped_by_pump() {
         let mut host = RecordingHost::with_heartbeats();
-        let (mut chans, endpoint) =
-            lvrm_ipc::channels::vri_channels::<Frame>(QueueKind::Lamport, 8, 4);
+        let (mut chans, endpoint) = lvrm_ipc::channels::vri_channels::<Frame>(8, 4, None);
         let vr = FastVr::new("t", RouteTable::new());
         host.spawn_vri(
             VriSpec { vr: VrId(0), vri: VriId(1), core: CoreId(2) },

@@ -19,7 +19,7 @@
 use std::net::Ipv4Addr;
 use std::path::Path;
 
-use lvrm_ipc::channels::{shared_ring, vri_channels_with_ring, ControlEvent};
+use lvrm_ipc::channels::{shared_ring, vri_channels, ControlEvent};
 use lvrm_ipc::vlink::{VLinkReceiver, VLinkSender};
 use lvrm_ipc::PressureLevel;
 use lvrm_metrics::{
@@ -629,7 +629,7 @@ impl<C: Clock> Lvrm<C> {
                 &[
                     ("balancer", config.build_balancer().name()),
                     ("allocator", config.allocator.name()),
-                    ("queue", config.queue_kind.name()),
+                    ("queue", config.queue_kind.as_str()),
                 ],
             )
             .set(1.0);
@@ -1702,8 +1702,7 @@ impl<C: Clock> Lvrm<C> {
         let t0 = self.clock.now_ns();
         let vri = VriId(self.next_vri);
         self.next_vri += 1;
-        let (channels, endpoint) = vri_channels_with_ring::<Frame>(
-            self.config.queue_kind,
+        let (channels, endpoint) = vri_channels::<Frame>(
             self.config.data_queue_capacity,
             self.config.ctrl_queue_capacity,
             self.vrs[idx].ring.as_ref().map(|r| r.rx.clone()),

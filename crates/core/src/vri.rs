@@ -258,13 +258,13 @@ impl VriAdapter {
 
     /// Incoming-queue occupancy fraction (`len / capacity`).
     pub fn occupancy(&self) -> f64 {
-        self.channels.data_tx.occupancy()
+        lvrm_ipc::occupancy(self.channels.data_tx.len(), self.channels.data_tx.capacity())
     }
 
     /// Stateless pressure classification of the incoming data queue. The
     /// monitor folds this through a per-VR `PressureTracker` for hysteresis.
     pub fn pressure(&self, wm: &Watermarks) -> PressureLevel {
-        self.channels.data_tx.pressure(wm)
+        wm.classify(self.channels.data_tx.len(), self.channels.data_tx.capacity())
     }
 
     /// Whether forwarded frames are waiting in the outgoing data queue.
@@ -483,7 +483,6 @@ mod tests {
     use super::*;
     use crate::estimate::EwmaQueueLength;
     use lvrm_ipc::channels::vri_channels;
-    use lvrm_ipc::QueueKind;
     use lvrm_net::FrameBuilder;
     use std::net::Ipv4Addr;
 
@@ -492,7 +491,7 @@ mod tests {
     }
 
     fn pair(cap: usize) -> (VriAdapter, LvrmAdapter) {
-        let (chans, endpoint) = vri_channels::<Frame>(QueueKind::Lamport, cap, 8);
+        let (chans, endpoint) = vri_channels::<Frame>(cap, 8, None);
         let adapter =
             VriAdapter::new(VriId(7), CoreId(1), chans, Box::new(EwmaQueueLength::new(1.0)));
         (adapter, LvrmAdapter::new(VriId(7), endpoint))

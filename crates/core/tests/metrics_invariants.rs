@@ -25,8 +25,8 @@
 //! the `lvrm_rescued_pending` gauge). (C) counts a reclaimed-then-rehomed
 //! frame once in `reclaimed` and once more in the survivor's `dispatched`.
 //!
-//! Set `LVRM_CHAOS_QUEUE` to one of `lamport` / `fastforward` / `mutex` / `vlink` to
-//! restrict the sweep (the CI matrix does this); unset runs all three.
+//! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (the
+//! CI matrix does this); unset runs both.
 
 use std::net::Ipv4Addr;
 

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The `overload_soak` storm (release CI soak leg; `-- --ignored`) sweeps
-//! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to one of `lamport` /
-//! `fastforward` / `mutex` to restrict it, as the CI matrix does.
+//! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to
+//! restrict it, as the CI matrix does.
 
 use std::net::Ipv4Addr;
 

@@ -6,12 +6,16 @@
 //! events. Control queues have strict priority: "each VRI first processes any
 //! control event available in its incoming control queue, and then processes
 //! data frames available in its incoming data queue."
+//!
+//! Every point-to-point queue here is a Lamport SPSC ring. The only MPMC
+//! ring is a VR's shared ingress ring ([`shared_ring`]), built only under
+//! the VLink fabric.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::lamport::{LamportQueue, LamportReceiver, LamportSender};
 use crate::vlink::{VLinkQueue, VLinkReceiver, VLinkSender};
-use crate::{queue, QueueKind, Receiver, Sender};
 
 /// A control event exchanged between VRIs (via LVRM). The payload is opaque
 /// to LVRM — the paper lets users "communicate with each other VRIs via their
@@ -32,17 +36,6 @@ impl ControlEvent {
     pub fn new(src_vri: u32, dst_vri: u32, payload: Vec<u8>) -> ControlEvent {
         ControlEvent { src_vri, dst_vri, ts_ns: 0, payload }
     }
-}
-
-/// Create both directions of a queue pair: `(lvrm→vri, vri→lvrm)`, returning
-/// `((tx, rx), (tx, rx))` where the first tuple is held `tx` by LVRM and `rx`
-/// by the VRI, and the second the other way around.
-#[allow(clippy::type_complexity)]
-pub fn duplex<T: Send>(
-    kind: QueueKind,
-    capacity: usize,
-) -> ((Sender<T>, Receiver<T>), (Sender<T>, Receiver<T>)) {
-    (queue(kind, capacity), queue(kind, capacity))
 }
 
 /// One unit of work a VRI pulls off its queues.
@@ -96,13 +89,13 @@ impl Drop for AttachGuard {
 /// LVRM's side of a VRI's queues.
 pub struct VriChannels<F> {
     /// Data frames LVRM dispatches to the VRI.
-    pub data_tx: Sender<F>,
+    pub data_tx: LamportSender<F>,
     /// Forwarded frames coming back from the VRI.
-    pub data_rx: Receiver<F>,
+    pub data_rx: LamportReceiver<F>,
     /// Control events LVRM relays *to* this VRI.
-    pub ctrl_tx: Sender<ControlEvent>,
+    pub ctrl_tx: LamportSender<ControlEvent>,
     /// Control events this VRI emits (LVRM relays them onward).
-    pub ctrl_rx: Receiver<ControlEvent>,
+    pub ctrl_rx: LamportReceiver<ControlEvent>,
     peer: Attachment,
 }
 
@@ -117,13 +110,13 @@ impl<F> VriChannels<F> {
 /// The VRI's side of its queues.
 pub struct VriEndpoint<F> {
     /// Data frames arriving from LVRM.
-    pub data_rx: Receiver<F>,
+    pub data_rx: LamportReceiver<F>,
     /// Forwarded frames handed back to LVRM.
-    pub data_tx: Sender<F>,
+    pub data_tx: LamportSender<F>,
     /// Control events arriving from LVRM.
-    pub ctrl_rx: Receiver<ControlEvent>,
+    pub ctrl_rx: LamportReceiver<ControlEvent>,
     /// Control events this VRI emits.
-    pub ctrl_tx: Sender<ControlEvent>,
+    pub ctrl_tx: LamportSender<ControlEvent>,
     /// Shared per-VR ingress ring (VLink fabric): all of the VR's VRIs hold a
     /// clone of the same consumer and steal bursts from it. `None` outside
     /// the VLink fabric; the point-to-point `data_rx` still exists alongside
@@ -182,25 +175,17 @@ impl<F> VriEndpoint<F> {
 ///
 /// `data_capacity` sizes the data queues; control queues are sized
 /// `ctrl_capacity` (typically much smaller — control traffic is sparse).
+/// Under the VLink fabric `shared_rx` hands the endpoint a consumer clone of
+/// the VR's shared ingress ring; `None` everywhere else.
 pub fn vri_channels<F: Send>(
-    kind: QueueKind,
-    data_capacity: usize,
-    ctrl_capacity: usize,
-) -> (VriChannels<F>, VriEndpoint<F>) {
-    vri_channels_with_ring(kind, data_capacity, ctrl_capacity, None)
-}
-
-/// Like [`vri_channels`], but additionally hands the endpoint a consumer
-/// clone of the VR's shared ingress ring (the VLink work-stealing fabric).
-pub fn vri_channels_with_ring<F: Send>(
-    kind: QueueKind,
     data_capacity: usize,
     ctrl_capacity: usize,
     shared_rx: Option<VLinkReceiver<F>>,
 ) -> (VriChannels<F>, VriEndpoint<F>) {
-    let ((data_tx, vri_data_rx), (vri_data_tx, data_rx)) = duplex::<F>(kind, data_capacity);
-    let ((ctrl_tx, vri_ctrl_rx), (vri_ctrl_tx, ctrl_rx)) =
-        duplex::<ControlEvent>(kind, ctrl_capacity);
+    let (data_tx, vri_data_rx) = LamportQueue::with_capacity(data_capacity);
+    let (vri_data_tx, data_rx) = LamportQueue::with_capacity(data_capacity);
+    let (ctrl_tx, vri_ctrl_rx) = LamportQueue::with_capacity(ctrl_capacity);
+    let (vri_ctrl_tx, ctrl_rx) = LamportQueue::with_capacity(ctrl_capacity);
     let attachment = Attachment::new();
     (
         VriChannels { data_tx, data_rx, ctrl_tx, ctrl_rx, peer: attachment.clone() },
@@ -217,7 +202,7 @@ pub fn vri_channels_with_ring<F: Send>(
 
 /// Build one VR's shared ingress ring: the monitor keeps the producer (and a
 /// consumer clone for teardown drains); each VRI endpoint gets a consumer
-/// clone via [`vri_channels_with_ring`].
+/// clone via [`vri_channels`].
 pub fn shared_ring<F: Send>(capacity: usize) -> (VLinkSender<F>, VLinkReceiver<F>) {
     VLinkQueue::with_capacity(capacity)
 }
@@ -228,21 +213,34 @@ mod tests {
 
     #[test]
     fn data_roundtrip_through_vri() {
-        for kind in QueueKind::ALL {
-            let (mut lvrm, mut vri) = vri_channels::<u64>(kind, 8, 4);
-            lvrm.data_tx.try_send(42).unwrap();
-            match vri.next_work() {
-                Some(Work::Data(v)) => assert_eq!(v, 42),
-                other => panic!("unexpected work: {other:?}"),
-            }
-            vri.data_tx.try_send(42).unwrap();
-            assert_eq!(lvrm.data_rx.try_recv(), Some(42));
+        let (mut lvrm, mut vri) = vri_channels::<u64>(8, 4, None);
+        lvrm.data_tx.try_send(42).unwrap();
+        match vri.next_work() {
+            Some(Work::Data(v)) => assert_eq!(v, 42),
+            other => panic!("unexpected work: {other:?}"),
         }
+        vri.data_tx.try_send(42).unwrap();
+        assert_eq!(lvrm.data_rx.try_recv(), Some(42));
+    }
+
+    #[test]
+    fn addressed_data_outranks_the_shared_ring() {
+        let (ring_tx, ring_rx) = shared_ring::<u64>(8);
+        let (mut lvrm, mut vri) = vri_channels::<u64>(8, 4, Some(ring_rx));
+        ring_tx.try_send(1).unwrap();
+        lvrm.data_tx.try_send(2).unwrap();
+        assert!(matches!(vri.next_work(), Some(Work::Data(2))));
+        assert!(matches!(vri.next_work(), Some(Work::Data(1))));
+        ring_tx.try_send(3).unwrap();
+        lvrm.data_tx.try_send(4).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(vri.steal_batch(&mut out, 8), 2);
+        assert_eq!(out, [4, 3]);
     }
 
     #[test]
     fn control_has_priority_over_data() {
-        let (mut lvrm, mut vri) = vri_channels::<u64>(QueueKind::Lamport, 8, 4);
+        let (mut lvrm, mut vri) = vri_channels::<u64>(8, 4, None);
         lvrm.data_tx.try_send(1).unwrap();
         lvrm.data_tx.try_send(2).unwrap();
         lvrm.ctrl_tx.try_send(ControlEvent::new(0, 1, vec![9])).unwrap();
@@ -255,17 +253,15 @@ mod tests {
 
     #[test]
     fn dropping_the_endpoint_detaches_it() {
-        for kind in QueueKind::ALL {
-            let (lvrm, vri) = vri_channels::<u64>(kind, 8, 4);
-            assert!(lvrm.endpoint_attached());
-            drop(vri);
-            assert!(!lvrm.endpoint_attached());
-        }
+        let (lvrm, vri) = vri_channels::<u64>(8, 4, None);
+        assert!(lvrm.endpoint_attached());
+        drop(vri);
+        assert!(!lvrm.endpoint_attached());
     }
 
     #[test]
     fn explicit_detach_survives_a_kept_endpoint() {
-        let (mut lvrm, mut vri) = vri_channels::<u64>(QueueKind::Mutex, 8, 4);
+        let (mut lvrm, mut vri) = vri_channels::<u64>(8, 4, None);
         lvrm.data_tx.try_send(7).unwrap();
         vri.detach();
         assert!(!lvrm.endpoint_attached());
@@ -275,7 +271,7 @@ mod tests {
 
     #[test]
     fn attachment_handle_detaches_after_the_fact() {
-        let (lvrm, vri) = vri_channels::<u64>(QueueKind::Lamport, 8, 4);
+        let (lvrm, vri) = vri_channels::<u64>(8, 4, None);
         let handle = vri.attachment();
         assert!(handle.is_attached());
         // Host stashes the endpoint for reaping *first*, then flips the flag.
@@ -286,7 +282,7 @@ mod tests {
 
     #[test]
     fn control_events_flow_upstream() {
-        let (mut lvrm, mut vri) = vri_channels::<u64>(QueueKind::FastForward, 8, 4);
+        let (mut lvrm, mut vri) = vri_channels::<u64>(8, 4, None);
         vri.ctrl_tx.try_send(ControlEvent::new(3, 0, b"sync".to_vec())).unwrap();
         let ev = lvrm.ctrl_rx.try_recv().unwrap();
         assert_eq!(ev.src_vri, 3);

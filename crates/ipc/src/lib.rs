@@ -6,21 +6,29 @@
 //! a single-producer/single-consumer ring buffer is correct without locks,
 //! and cites FastForward-style cache-optimized variants as drop-in upgrades.
 //!
-//! This crate ships three interchangeable SPSC queue implementations:
+//! The runtime uses one ring per queue shape:
 //!
-//! * [`LamportQueue`] — the classic ring with shared head/tail indices,
-//!   published with Acquire/Release atomics (the paper's default, \[23\]);
+//! * [`LamportQueue`] — the classic SPSC ring with shared head/tail indices,
+//!   published with Acquire/Release atomics (the paper's default, \[23\]).
+//!   Every point-to-point queue is one: per-VRI data and control, and the
+//!   in-process NIC ring.
+//! * [`VLinkQueue`] — a bounded MPMC ring, used only as a VR's shared
+//!   ingress ring that its VRIs steal bursts from (the VLink fabric).
+//!
+//! Two more rings exist only for the queue ablation (`ipc_queue` bench,
+//! `bench-report` `queue_ops` rows, property tests), which construct them
+//! directly; see [`for_each_ring!`]:
+//!
 //! * [`FastForwardQueue`] — a slot-flag ring in which producer and consumer
 //!   never share an index cache line (the paper's cited upgrade \[17\]);
-//! * [`MutexQueue`] — a lock-based baseline used by the ablation benches to
-//!   justify the lock-free choice.
+//! * [`MutexQueue`] — a lock-based baseline that justifies the lock-free
+//!   choice.
 //!
-//! Endpoints are **typed**: a queue splits into a [`Sender`] and a
-//! [`Receiver`], each `Send` but deliberately not `Clone`/`Sync`, so the
+//! Endpoints are **typed**: a queue splits into a sender and a receiver,
+//! each `Send` but deliberately not `Clone`/`Sync` for the SPSC rings, so the
 //! single-producer/single-consumer contract is enforced by the type system
-//! rather than by discipline. [`QueueKind`] selects an implementation at run
-//! time (LVRM's extensibility dimension); dispatch goes through a small enum
-//! rather than trait objects so the hot path stays monomorphic-friendly.
+//! rather than by discipline. [`QueueKind`] picks the dispatch fabric at run
+//! time: pinned per-VRI queues or the shared stealing ring.
 //!
 //! The [`channels`] module bundles queues into the shapes LVRM needs: a
 //! bidirectional data-plane pair plus a control pair per VRI, with the
@@ -33,25 +41,23 @@ pub mod lamport;
 pub mod mutexq;
 pub mod vlink;
 
-pub use channels::{duplex, Attachment, ControlEvent, VriChannels, VriEndpoint};
+pub use channels::{Attachment, ControlEvent, VriChannels, VriEndpoint};
 pub use fastforward::FastForwardQueue;
-pub use lamport::LamportQueue;
+pub use lamport::{LamportQueue, LamportReceiver, LamportSender};
 pub use mutexq::MutexQueue;
 pub use vlink::{VLinkQueue, VLinkReceiver, VLinkSender};
 
-/// Which queue implementation to instantiate (extensibility dimension §3.5).
+/// Which dispatch fabric to run (extensibility dimension §3.5). Every
+/// point-to-point queue is a Lamport ring either way; the kind decides only
+/// whether a VR's frames are pinned to per-VRI queues or published to one
+/// shared ring its VRIs steal from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum QueueKind {
-    /// Lamport's lock-free SPSC ring (the paper's default).
+    /// Pinned dispatch over per-VRI Lamport SPSC rings (the paper's default).
     #[default]
     Lamport,
-    /// FastForward-style slot-flag ring (cache-optimized variant).
-    FastForward,
-    /// Lock-based baseline.
-    Mutex,
-    /// Virtual-Link-style bounded MPMC ring. In point-to-point positions it
-    /// behaves like the SPSC rings; under `lvrm-core` it additionally enables
-    /// the shared per-VR ingress ring that VRIs steal bursts from.
+    /// Virtual-Link-style bounded MPMC ring: under `lvrm-core` it enables the
+    /// shared per-VR ingress ring that VRIs steal bursts from.
     VLink,
 }
 
@@ -74,8 +80,7 @@ impl std::error::Error for UnknownQueueKind {}
 
 impl QueueKind {
     /// All variants, for sweeps and ablations.
-    pub const ALL: [QueueKind; 4] =
-        [QueueKind::Lamport, QueueKind::FastForward, QueueKind::Mutex, QueueKind::VLink];
+    pub const ALL: [QueueKind; 2] = [QueueKind::Lamport, QueueKind::VLink];
 
     /// Canonical name: the single source of truth for every flag, config
     /// directive, env filter, and bench label. [`QueueKind::from_str`] is the
@@ -83,15 +88,8 @@ impl QueueKind {
     pub fn as_str(self) -> &'static str {
         match self {
             QueueKind::Lamport => "lamport",
-            QueueKind::FastForward => "fastforward",
-            QueueKind::Mutex => "mutex",
             QueueKind::VLink => "vlink",
         }
-    }
-
-    /// Human-readable name used in bench output (alias of [`Self::as_str`]).
-    pub fn name(self) -> &'static str {
-        self.as_str()
     }
 }
 
@@ -189,21 +187,18 @@ pub fn occupancy(len: usize, capacity: usize) -> f64 {
 #[derive(Debug, PartialEq, Eq)]
 pub struct Full<T>(pub T);
 
-/// Sending endpoint of an SPSC queue.
+/// Sending endpoint of a queue picked by [`QueueKind`] at run time (the
+/// runtime itself names [`LamportSender`] and [`VLinkSender`] directly).
 ///
 /// `&mut self` on [`Sender::try_send`] enforces single-producer use.
 pub enum Sender<T> {
     Lamport(lamport::LamportSender<T>),
-    FastForward(fastforward::FfSender<T>),
-    Mutex(mutexq::MutexSender<T>),
     VLink(vlink::VLinkSender<T>),
 }
 
-/// Receiving endpoint of an SPSC queue.
+/// Receiving endpoint matching [`Sender`].
 pub enum Receiver<T> {
     Lamport(lamport::LamportReceiver<T>),
-    FastForward(fastforward::FfReceiver<T>),
-    Mutex(mutexq::MutexReceiver<T>),
     VLink(vlink::VLinkReceiver<T>),
 }
 
@@ -213,8 +208,6 @@ impl<T: Send> Sender<T> {
     pub fn try_send(&mut self, item: T) -> Result<(), Full<T>> {
         match self {
             Sender::Lamport(s) => s.try_send(item),
-            Sender::FastForward(s) => s.try_send(item),
-            Sender::Mutex(s) => s.try_send(item),
             Sender::VLink(s) => s.try_send(item),
         }
     }
@@ -222,30 +215,21 @@ impl<T: Send> Sender<T> {
     /// Enqueue up to `items.len()` items in one burst, draining the accepted
     /// prefix from `items`. Returns how many were accepted (possibly 0).
     ///
-    /// For the lock-free rings this publishes the producer index (Lamport) or
-    /// adjusts the occupancy counter (FastForward) **once per burst** instead
-    /// of once per item; for the mutex baseline it takes the lock once.
+    /// Both rings publish their producer index **once per burst** instead of
+    /// once per item.
     #[inline]
     pub fn try_send_batch(&mut self, items: &mut Vec<T>) -> usize {
         match self {
             Sender::Lamport(s) => s.try_send_batch(items),
-            Sender::FastForward(s) => s.try_send_batch(items),
-            Sender::Mutex(s) => s.try_send_batch(items),
             Sender::VLink(s) => s.try_send_batch(items),
         }
     }
 
     /// Current number of queued items, as observable from the producer side.
-    ///
-    /// The VRI adapter's queue-length load estimator (paper §3.4) reads this
-    /// on every dispatch. For [`FastForwardQueue`] the value is a lower-bound
-    /// estimate maintained without touching consumer state.
     #[inline]
     pub fn len(&self) -> usize {
         match self {
             Sender::Lamport(s) => s.len(),
-            Sender::FastForward(s) => s.len(),
-            Sender::Mutex(s) => s.len(),
             Sender::VLink(s) => s.len(),
         }
     }
@@ -260,22 +244,8 @@ impl<T: Send> Sender<T> {
     pub fn capacity(&self) -> usize {
         match self {
             Sender::Lamport(s) => s.capacity(),
-            Sender::FastForward(s) => s.capacity(),
-            Sender::Mutex(s) => s.capacity(),
             Sender::VLink(s) => s.capacity(),
         }
-    }
-
-    /// Occupancy fraction (`len / capacity`) as observable from the producer.
-    #[inline]
-    pub fn occupancy(&self) -> f64 {
-        occupancy(self.len(), self.capacity())
-    }
-
-    /// Stateless pressure classification of this queue under `wm`.
-    #[inline]
-    pub fn pressure(&self, wm: &Watermarks) -> PressureLevel {
-        wm.classify(self.len(), self.capacity())
     }
 }
 
@@ -285,8 +255,6 @@ impl<T: Send> Receiver<T> {
     pub fn try_recv(&mut self) -> Option<T> {
         match self {
             Receiver::Lamport(r) => r.try_recv(),
-            Receiver::FastForward(r) => r.try_recv(),
-            Receiver::Mutex(r) => r.try_recv(),
             Receiver::VLink(r) => r.try_recv(),
         }
     }
@@ -298,8 +266,6 @@ impl<T: Send> Receiver<T> {
     pub fn try_recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         match self {
             Receiver::Lamport(r) => r.try_recv_batch(out, max),
-            Receiver::FastForward(r) => r.try_recv_batch(out, max),
-            Receiver::Mutex(r) => r.try_recv_batch(out, max),
             Receiver::VLink(r) => r.try_recv_batch(out, max),
         }
     }
@@ -309,8 +275,6 @@ impl<T: Send> Receiver<T> {
     pub fn len(&self) -> usize {
         match self {
             Receiver::Lamport(r) => r.len(),
-            Receiver::FastForward(r) => r.len(),
-            Receiver::Mutex(r) => r.len(),
             Receiver::VLink(r) => r.len(),
         }
     }
@@ -321,26 +285,47 @@ impl<T: Send> Receiver<T> {
     }
 }
 
-/// Create an SPSC queue of `capacity` items using implementation `kind`.
+/// Create a queue of `capacity` items using ring `kind`.
 pub fn queue<T: Send>(kind: QueueKind, capacity: usize) -> (Sender<T>, Receiver<T>) {
     match kind {
         QueueKind::Lamport => {
             let (s, r) = lamport::LamportQueue::with_capacity(capacity);
             (Sender::Lamport(s), Receiver::Lamport(r))
         }
-        QueueKind::FastForward => {
-            let (s, r) = fastforward::FastForwardQueue::with_capacity(capacity);
-            (Sender::FastForward(s), Receiver::FastForward(r))
-        }
-        QueueKind::Mutex => {
-            let (s, r) = mutexq::MutexQueue::with_capacity(capacity);
-            (Sender::Mutex(s), Receiver::Mutex(r))
-        }
         QueueKind::VLink => {
             let (s, r) = vlink::VLinkQueue::with_capacity(capacity);
             (Sender::VLink(s), Receiver::VLink(r))
         }
     }
+}
+
+/// Expand `$body` once per ring in this crate — Lamport, FastForward, mutex
+/// and VLink, in that order — with `$label` bound to the ring's bench label
+/// and `$new` to a `capacity -> (tx, rx)` constructor for it. The queue
+/// ablation (benches and property tests) sweeps all four this way; the
+/// runtime uses only the Lamport and VLink rings.
+#[macro_export]
+macro_rules! for_each_ring {
+    (|$label:ident, $new:ident| $body:block) => {{
+        {
+            let ($label, $new) =
+                ("lamport", |cap: usize| $crate::queue($crate::QueueKind::Lamport, cap));
+            $body
+        }
+        {
+            let ($label, $new) = ("fastforward", $crate::FastForwardQueue::with_capacity);
+            $body
+        }
+        {
+            let ($label, $new) = ("mutex", $crate::MutexQueue::with_capacity);
+            $body
+        }
+        {
+            let ($label, $new) =
+                ("vlink", |cap: usize| $crate::queue($crate::QueueKind::VLink, cap));
+            $body
+        }
+    }};
 }
 
 #[cfg(test)]
@@ -369,7 +354,7 @@ mod tests {
             tx.try_send(2).unwrap();
             match tx.try_send(3) {
                 Err(Full(v)) => assert_eq!(v, 3),
-                Ok(()) => panic!("{:?} accepted item beyond capacity", kind.name()),
+                Ok(()) => panic!("{:?} accepted item beyond capacity", kind.as_str()),
             }
         }
     }
@@ -378,7 +363,7 @@ mod tests {
     fn capacity_reported() {
         for kind in QueueKind::ALL {
             let (tx, _rx) = queue::<u32>(kind, 8);
-            assert!(tx.capacity() >= 8, "{}", kind.name());
+            assert!(tx.capacity() >= 8, "{}", kind.as_str());
         }
     }
 
@@ -387,14 +372,14 @@ mod tests {
         for kind in QueueKind::ALL {
             let (mut tx, mut rx) = queue::<u32>(kind, 4);
             let mut items: Vec<u32> = (0..6).collect();
-            assert_eq!(tx.try_send_batch(&mut items), 4, "{}", kind.name());
-            assert_eq!(items, vec![4, 5], "{}", kind.name());
+            assert_eq!(tx.try_send_batch(&mut items), 4, "{}", kind.as_str());
+            assert_eq!(items, vec![4, 5], "{}", kind.as_str());
             let mut out = Vec::new();
-            assert_eq!(rx.try_recv_batch(&mut out, 10), 4, "{}", kind.name());
-            assert_eq!(out, vec![0, 1, 2, 3], "{}", kind.name());
-            assert_eq!(tx.try_send_batch(&mut items), 2, "{}", kind.name());
-            assert_eq!(rx.try_recv_batch(&mut out, 1), 1, "{}", kind.name());
-            assert_eq!(out.last(), Some(&4), "{}", kind.name());
+            assert_eq!(rx.try_recv_batch(&mut out, 10), 4, "{}", kind.as_str());
+            assert_eq!(out, vec![0, 1, 2, 3], "{}", kind.as_str());
+            assert_eq!(tx.try_send_batch(&mut items), 2, "{}", kind.as_str());
+            assert_eq!(rx.try_recv_batch(&mut out, 1), 1, "{}", kind.as_str());
+            assert_eq!(out.last(), Some(&4), "{}", kind.as_str());
         }
     }
 
@@ -422,22 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn sender_reports_occupancy_and_pressure() {
-        let wm = Watermarks::new(0.25, 0.75);
-        for kind in QueueKind::ALL {
-            let (mut tx, _rx) = queue::<u32>(kind, 4);
-            assert_eq!(tx.pressure(&wm), PressureLevel::Normal, "{}", kind.name());
-            for i in 0..4 {
-                tx.try_send(i).unwrap();
-            }
-            assert!(tx.occupancy() >= 0.9, "{}", kind.name());
-            assert_eq!(tx.pressure(&wm), PressureLevel::Overloaded, "{}", kind.name());
-        }
-    }
-
-    #[test]
     fn kind_names_are_distinct() {
-        let names: std::collections::HashSet<_> = QueueKind::ALL.iter().map(|k| k.name()).collect();
+        let names: std::collections::HashSet<_> =
+            QueueKind::ALL.iter().map(|k| k.as_str()).collect();
         assert_eq!(names.len(), QueueKind::ALL.len());
     }
 

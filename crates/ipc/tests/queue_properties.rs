@@ -1,13 +1,16 @@
-//! Property-based tests: every queue implementation must behave exactly like
-//! a bounded FIFO (modeled with `VecDeque`) under any interleaving of sends
-//! and receives, and must deliver items unmutated and in order across threads.
+//! Property-based tests: every ring in the crate — the runtime's Lamport and
+//! VLink rings and the FastForward and mutex ablation rings — must behave
+//! exactly like a bounded FIFO (modeled with `VecDeque`) under any
+//! interleaving of sends and receives, and must deliver items unmutated and
+//! in order across threads. The ablation rings are built with their own
+//! constructors; they are not `QueueKind`s.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lvrm_ipc::vlink::VLinkQueue;
-use lvrm_ipc::{queue, Full, QueueKind};
+use lvrm_ipc::{for_each_ring, queue, FastForwardQueue, Full, MutexQueue, QueueKind};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -20,30 +23,36 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(prop_oneof![any::<u64>().prop_map(Op::Send), Just(Op::Recv)], 0..200)
 }
 
-fn check_against_model(kind: QueueKind, capacity: usize, script: &[Op]) {
-    let (mut tx, mut rx) = queue::<u64>(kind, capacity);
-    let mut model: VecDeque<u64> = VecDeque::new();
-    for op in script {
-        match op {
-            Op::Send(v) => {
-                let res = tx.try_send(*v);
-                if model.len() < capacity {
-                    assert_eq!(res, Ok(()), "send should succeed below capacity");
-                    model.push_back(*v);
-                } else {
-                    assert_eq!(res, Err(Full(*v)), "send should fail at capacity");
+/// Drive a fresh ring from `$new(capacity)` through `script` against the
+/// model. A macro rather than a function: the rings share method names, not
+/// a trait.
+macro_rules! check_against_model {
+    ($new:expr, $capacity:expr, $script:expr) => {{
+        let capacity: usize = $capacity;
+        let (mut tx, mut rx) = $new(capacity);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        for op in $script {
+            match op {
+                Op::Send(v) => {
+                    let res = tx.try_send(*v);
+                    if model.len() < capacity {
+                        assert_eq!(res, Ok(()), "send should succeed below capacity");
+                        model.push_back(*v);
+                    } else {
+                        assert_eq!(res, Err(Full(*v)), "send should fail at capacity");
+                    }
+                }
+                Op::Recv => {
+                    assert_eq!(rx.try_recv(), model.pop_front());
                 }
             }
-            Op::Recv => {
-                assert_eq!(rx.try_recv(), model.pop_front());
-            }
         }
-    }
-    // Drain: everything still queued must come out in model order.
-    while let Some(expect) = model.pop_front() {
-        assert_eq!(rx.try_recv(), Some(expect));
-    }
-    assert_eq!(rx.try_recv(), None);
+        // Drain: everything still queued must come out in model order.
+        while let Some(expect) = model.pop_front() {
+            assert_eq!(rx.try_recv(), Some(expect));
+        }
+        assert_eq!(rx.try_recv(), None);
+    }};
 }
 
 /// A script mixing per-item and bulk operations, to pin the batch entry
@@ -70,53 +79,57 @@ fn batch_ops() -> impl Strategy<Value = Vec<BatchOp>> {
     )
 }
 
-fn check_batch_against_model(kind: QueueKind, capacity: usize, script: &[BatchOp]) {
-    let (mut tx, mut rx) = queue::<u64>(kind, capacity);
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let mut out: Vec<u64> = Vec::new();
-    for op in script {
-        match op {
-            BatchOp::Send(v) => {
-                let res = tx.try_send(*v);
-                if model.len() < capacity {
-                    assert_eq!(res, Ok(()));
-                    model.push_back(*v);
-                } else {
-                    assert_eq!(res, Err(Full(*v)));
+/// [`check_against_model!`] for the batch script.
+macro_rules! check_batch_against_model {
+    ($new:expr, $capacity:expr, $script:expr) => {{
+        let capacity: usize = $capacity;
+        let (mut tx, mut rx) = $new(capacity);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut out: Vec<u64> = Vec::new();
+        for op in $script {
+            match op {
+                BatchOp::Send(v) => {
+                    let res = tx.try_send(*v);
+                    if model.len() < capacity {
+                        assert_eq!(res, Ok(()));
+                        model.push_back(*v);
+                    } else {
+                        assert_eq!(res, Err(Full(*v)));
+                    }
                 }
-            }
-            BatchOp::Recv => {
-                assert_eq!(rx.try_recv(), model.pop_front());
-            }
-            BatchOp::SendBatch(items) => {
-                let free = capacity - model.len();
-                let want = free.min(items.len());
-                let mut pending = items.clone();
-                let accepted = tx.try_send_batch(&mut pending);
-                assert_eq!(accepted, want, "batch send must fill exactly the free space");
-                assert_eq!(pending.len(), items.len() - want, "rejected suffix stays");
-                assert_eq!(&pending[..], &items[want..], "rejected suffix unmutated");
-                model.extend(items[..want].iter().copied());
-            }
-            BatchOp::RecvBatch(max) => {
-                out.clear();
-                let want = model.len().min(*max);
-                let got = rx.try_recv_batch(&mut out, *max);
-                assert_eq!(got, want, "batch recv must drain exactly min(occupancy, max)");
-                assert_eq!(out.len(), want);
-                for v in &out {
-                    assert_eq!(Some(*v), model.pop_front(), "FIFO order across batch recv");
+                BatchOp::Recv => {
+                    assert_eq!(rx.try_recv(), model.pop_front());
+                }
+                BatchOp::SendBatch(items) => {
+                    let free = capacity - model.len();
+                    let want = free.min(items.len());
+                    let mut pending = items.clone();
+                    let accepted = tx.try_send_batch(&mut pending);
+                    assert_eq!(accepted, want, "batch send must fill exactly the free space");
+                    assert_eq!(pending.len(), items.len() - want, "rejected suffix stays");
+                    assert_eq!(&pending[..], &items[want..], "rejected suffix unmutated");
+                    model.extend(items[..want].iter().copied());
+                }
+                BatchOp::RecvBatch(max) => {
+                    out.clear();
+                    let want = model.len().min(*max);
+                    let got = rx.try_recv_batch(&mut out, *max);
+                    assert_eq!(got, want, "batch recv must drain exactly min(occupancy, max)");
+                    assert_eq!(out.len(), want);
+                    for v in &out {
+                        assert_eq!(Some(*v), model.pop_front(), "FIFO order across batch recv");
+                    }
                 }
             }
         }
-    }
-    out.clear();
-    rx.try_recv_batch(&mut out, usize::MAX);
-    assert_eq!(out.len(), model.len());
-    for v in &out {
-        assert_eq!(Some(*v), model.pop_front());
-    }
-    assert_eq!(rx.try_recv(), None);
+        out.clear();
+        rx.try_recv_batch(&mut out, usize::MAX);
+        assert_eq!(out.len(), model.len());
+        for v in &out {
+            assert_eq!(Some(*v), model.pop_front());
+        }
+        assert_eq!(rx.try_recv(), None);
+    }};
 }
 
 proptest! {
@@ -124,76 +137,76 @@ proptest! {
 
     #[test]
     fn lamport_matches_fifo_model(script in ops(), cap in 1usize..16) {
-        check_against_model(QueueKind::Lamport, cap, &script);
+        check_against_model!(|cap| queue::<u64>(QueueKind::Lamport, cap), cap, &script);
     }
 
     #[test]
     fn fastforward_matches_fifo_model(script in ops(), cap in 1usize..16) {
-        check_against_model(QueueKind::FastForward, cap, &script);
+        check_against_model!(FastForwardQueue::<u64>::with_capacity, cap, &script);
     }
 
     #[test]
     fn mutex_matches_fifo_model(script in ops(), cap in 1usize..16) {
-        check_against_model(QueueKind::Mutex, cap, &script);
+        check_against_model!(MutexQueue::<u64>::with_capacity, cap, &script);
     }
 
-    /// Single-threaded, the MPMC ring is a bounded FIFO like every SPSC kind.
+    /// Single-threaded, the MPMC ring is a bounded FIFO like every SPSC ring.
     #[test]
     fn vlink_matches_fifo_model(script in ops(), cap in 1usize..16) {
-        check_against_model(QueueKind::VLink, cap, &script);
+        check_against_model!(|cap| queue::<u64>(QueueKind::VLink, cap), cap, &script);
     }
 
     /// Batch and per-item entry points are interchangeable: any interleaving
     /// of the four operations still behaves like the bounded FIFO model.
     #[test]
     fn lamport_batch_matches_fifo_model(script in batch_ops(), cap in 1usize..16) {
-        check_batch_against_model(QueueKind::Lamport, cap, &script);
+        check_batch_against_model!(|cap| queue::<u64>(QueueKind::Lamport, cap), cap, &script);
     }
 
     #[test]
     fn fastforward_batch_matches_fifo_model(script in batch_ops(), cap in 1usize..16) {
-        check_batch_against_model(QueueKind::FastForward, cap, &script);
+        check_batch_against_model!(FastForwardQueue::<u64>::with_capacity, cap, &script);
     }
 
     #[test]
     fn mutex_batch_matches_fifo_model(script in batch_ops(), cap in 1usize..16) {
-        check_batch_against_model(QueueKind::Mutex, cap, &script);
+        check_batch_against_model!(MutexQueue::<u64>::with_capacity, cap, &script);
     }
 
     #[test]
     fn vlink_batch_matches_fifo_model(script in batch_ops(), cap in 1usize..16) {
-        check_batch_against_model(QueueKind::VLink, cap, &script);
+        check_batch_against_model!(|cap| queue::<u64>(QueueKind::VLink, cap), cap, &script);
     }
 
     /// Producer-side `len()` must equal true occupancy whenever the queue is
-    /// quiescent (no concurrent access), for every implementation.
+    /// quiescent (no concurrent access), for every ring.
     #[test]
-    fn quiescent_len_is_exact(kind_idx in 0usize..4, sends in 0usize..8, recvs in 0usize..8) {
-        let kind = QueueKind::ALL[kind_idx];
-        let cap = 8;
-        let (mut tx, mut rx) = queue::<u64>(kind, cap);
-        let mut occupancy = 0usize;
-        for i in 0..sends {
-            if tx.try_send(i as u64).is_ok() {
-                occupancy += 1;
+    fn quiescent_len_is_exact(sends in 0usize..8, recvs in 0usize..8) {
+        for_each_ring!(|label, new| {
+            let (mut tx, mut rx) = new(8);
+            let mut occupancy = 0usize;
+            for i in 0..sends {
+                if tx.try_send(i as u64).is_ok() {
+                    occupancy += 1;
+                }
             }
-        }
-        for _ in 0..recvs {
-            if rx.try_recv().is_some() {
-                occupancy -= 1;
+            for _ in 0..recvs {
+                if rx.try_recv().is_some() {
+                    occupancy -= 1;
+                }
             }
-        }
-        prop_assert_eq!(tx.len(), occupancy);
-        prop_assert_eq!(rx.len(), occupancy);
+            prop_assert_eq!(tx.len(), occupancy, "{}", label);
+            prop_assert_eq!(rx.len(), occupancy, "{}", label);
+        });
     }
 }
 
-/// Concurrent bulk smoke test per kind: a producer pushing uneven bursts and
+/// Concurrent bulk smoke test per ring: a producer pushing uneven bursts and
 /// a consumer draining uneven bursts still see one ordered FIFO stream.
 #[test]
 fn concurrent_batch_order_all_kinds() {
-    for kind in QueueKind::ALL {
-        let (mut tx, mut rx) = queue::<u64>(kind, 32);
+    for_each_ring!(|label, new| {
+        let (mut tx, mut rx) = new(32);
         const N: u64 = 50_000;
         let t = std::thread::spawn(move || {
             let mut pending: Vec<u64> = Vec::new();
@@ -217,12 +230,12 @@ fn concurrent_batch_order_all_kinds() {
                 continue;
             }
             for v in &out {
-                assert_eq!(*v, expected, "kind {}", kind.name());
+                assert_eq!(*v, expected, "ring {label}");
                 expected += 1;
             }
         }
         t.join().unwrap();
-    }
+    });
 }
 
 /// MPMC contract, part 1: several producers and several consumers hammering
@@ -373,12 +386,12 @@ fn vlink_drop_releases_queued_items() {
     assert_eq!(Arc::strong_count(&sentinel), 1, "destructor must drain the ring");
 }
 
-/// Concurrent smoke test per kind: order and content preserved under real
+/// Concurrent smoke test per ring: order and content preserved under real
 /// thread interleavings (longer stress lives in each module's unit tests).
 #[test]
 fn concurrent_order_all_kinds() {
-    for kind in QueueKind::ALL {
-        let (mut tx, mut rx) = queue::<u64>(kind, 32);
+    for_each_ring!(|label, new| {
+        let (mut tx, mut rx) = new(32);
         const N: u64 = 50_000;
         let t = std::thread::spawn(move || {
             for i in 0..N {
@@ -397,12 +410,12 @@ fn concurrent_order_all_kinds() {
         let mut expected = 0;
         while expected < N {
             if let Some(v) = rx.try_recv() {
-                assert_eq!(v, expected, "kind {}", kind.name());
+                assert_eq!(v, expected, "ring {label}");
                 expected += 1;
             } else {
                 std::hint::spin_loop();
             }
         }
         t.join().unwrap();
-    }
+    });
 }

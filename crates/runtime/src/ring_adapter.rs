@@ -15,13 +15,13 @@
 //! layer above (the adapter supervisor's retry deadline).
 
 use lvrm_core::socket::{AdapterError, SendRejected, SocketAdapter, SocketKind};
-use lvrm_ipc::{queue, QueueKind, Receiver, Sender};
+use lvrm_ipc::{LamportQueue, LamportReceiver, LamportSender};
 use lvrm_net::Frame;
 
 /// One endpoint of a zero-copy ring pair.
 pub struct RingAdapter {
-    rx: Receiver<Frame>,
-    tx: Sender<Frame>,
+    rx: LamportReceiver<Frame>,
+    tx: LamportSender<Frame>,
     rx_count: u64,
     tx_count: u64,
 }
@@ -30,8 +30,8 @@ impl RingAdapter {
     /// Create a cross-wired pair of ring endpoints with `capacity` slots per
     /// direction: frames sent on one side arrive at the other.
     pub fn pair(capacity: usize) -> (RingAdapter, RingAdapter) {
-        let (a_tx, b_rx) = queue::<Frame>(QueueKind::Lamport, capacity);
-        let (b_tx, a_rx) = queue::<Frame>(QueueKind::Lamport, capacity);
+        let (a_tx, b_rx) = LamportQueue::with_capacity(capacity);
+        let (b_tx, a_rx) = LamportQueue::with_capacity(capacity);
         (
             RingAdapter { rx: a_rx, tx: a_tx, rx_count: 0, tx_count: 0 },
             RingAdapter { rx: b_rx, tx: b_tx, rx_count: 0, tx_count: 0 },

@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn sim_host_lifecycle() {
         let mut host = SimHost::default();
-        let (_, ep) = lvrm_ipc::channels::vri_channels::<Frame>(lvrm_ipc::QueueKind::Lamport, 4, 2);
+        let (_, ep) = lvrm_ipc::channels::vri_channels::<Frame>(4, 2, None);
         let spec = VriSpec { vr: VrId(0), vri: VriId(3), core: CoreId(1) };
         host.spawn_vri(
             spec,

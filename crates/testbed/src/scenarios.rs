@@ -128,6 +128,7 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Master seed; per-generator seeds derive from it.
     pub seed: u64,
+    /// Dispatch fabric: pinned per-VRI queues or the VLink shared ring.
     pub queue_kind: QueueKind,
     pub duration_ns: u64,
     pub warmup_ns: u64,
@@ -177,11 +178,6 @@ impl ScenarioSpec {
 
     pub fn tenant(mut self, t: TenantSpec) -> ScenarioSpec {
         self.tenants.push(t);
-        self
-    }
-
-    pub fn queue(mut self, kind: QueueKind) -> ScenarioSpec {
-        self.queue_kind = kind;
         self
     }
 

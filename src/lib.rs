@@ -14,8 +14,9 @@
 //! The workspace splits into focused crates, all re-exported here:
 //!
 //! * [`net`] — frames, headers, flows, wire-time arithmetic;
-//! * [`ipc`] — lock-free SPSC queues (Lamport, FastForward-style, mutex
-//!   baseline) and the per-VRI data/control channel bundles;
+//! * [`ipc`] — lock-free rings (Lamport SPSC for every point-to-point
+//!   queue, Virtual-Link MPMC for the shared ingress ring) and the per-VRI
+//!   data/control channel bundles;
 //! * [`metrics`] — EWMA estimators, fairness indexes, latency histograms;
 //! * [`router`] — LPM route tables, map files, the `FastVr` ("C++ VR");
 //! * [`click`] — a miniature Click modular router (the "Click VR");
