@@ -46,8 +46,9 @@
 //!   §15): warm the directory under traffic, kill one shard mid-epoch, and
 //!   measure the simulated time until every orphaned VR is owned by its
 //!   rendezvous successor (`failover_time`, ms, lower-is-better), plus a
-//!   conservation flag over global/replication conservation and the fleet
-//!   identity (every VR exactly one owner) after convergence.
+//!   conservation flag over every surviving shard's ledger
+//!   (`lvrm_core::Ledger`) and the fleet identity (every VR exactly one
+//!   owner) after convergence.
 //! - `repl_scaling_threads` — the elephant flow on *real* VRI threads
 //!   (`lvrm_runtime::ThreadHost` with the replica-ledger path): pinned vs
 //!   replicated wall-clock throughput and their ratio. Machine-dependent,
@@ -525,27 +526,11 @@ fn fleet_vr_name(i: u32) -> String {
     format!("dept{}", i + 1)
 }
 
-/// Global + replication conservation on every survivor, and the fleet
-/// identity: every declared VR owned by exactly one shard.
+/// Every survivor's conservation ledger, and the fleet identity: every
+/// declared VR owned by exactly one shard.
 fn fleet_conservation_ok(nodes: &[&ShardBenchNode]) -> bool {
-    let mut ok = true;
-    for n in nodes {
-        let s = n.lvrm.stats();
-        ok &= s.frames_in
-            == s.frames_out
-                + s.unclassified
-                + s.dispatch_drops
-                + s.no_vri_drops
-                + s.shrink_lost
-                + s.crash_lost
-                + s.quarantined_drops
-                + s.shed_early;
-        ok &= s.updates_emitted == s.updates_folded + s.updates_lost;
-    }
-    for vr in 0..FLEET_VRS {
-        ok &= nodes.iter().filter(|n| n.owns(vr)).count() == 1;
-    }
-    ok
+    nodes.iter().all(|n| n.lvrm.ledger().holds())
+        && (0..FLEET_VRS).all(|vr| nodes.iter().filter(|n| n.owns(vr)).count() == 1)
 }
 
 /// Deterministic simulated shard takeover on the manual clock (DESIGN.md
@@ -690,9 +675,7 @@ fn repl_scaling_threads(kind: QueueKind, frames: u64) -> (f64, f64, bool) {
             std::thread::yield_now();
         }
         let elapsed_ns = clock.now_ns() - t0;
-        let s = lvrm.stats();
-        conservation_ok &= s.frames_in
-            == s.frames_out + s.dispatch_drops + s.no_vri_drops + s.unclassified + s.shed_early;
+        conservation_ok &= lvrm.ledger().holds();
         host.shutdown();
         out as f64 / (elapsed_ns as f64 / 1e9) / 1e3
     };
@@ -719,7 +702,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
         let tracked = report.tracked_flows();
         let tracked_pct = 100.0 * tracked as f64 / flows as f64;
         let goodput_pct = 100.0 * report.tenants[0].goodput();
-        let ok = report.conservation.all_hold();
+        let ok = report.conservation.holds();
         println!(
             "scenario       {:>11} million_flows: {tracked} tracked ({tracked_pct:5.1}%), \
              goodput {goodput_pct:5.1}%, conservation {}",
@@ -756,7 +739,7 @@ fn scenario_rows(smoke: bool, rows: &mut Vec<Row>) {
             spec.queue_kind = kind;
             let report = spec.run();
             let goodput_pct = 100.0 * report.tenants[0].goodput();
-            let ok = report.conservation.all_hold();
+            let ok = report.conservation.holds();
             println!(
                 "scenario       {:>11} {}: protected goodput {goodput_pct:5.1}%, \
                  shed {} frames, conservation {}",
@@ -787,7 +770,7 @@ fn repl_scaling_rows(rows: &mut Vec<Row>) {
             let mut spec = elephant_flow(cores, replicated, SEED);
             spec.queue_kind = kind;
             let report = spec.run();
-            ok &= report.conservation.all_hold();
+            ok &= report.conservation.holds();
             report.tcp_mbps()
         };
         let base = run(2, false);

@@ -205,10 +205,11 @@ impl HaMsg {
                 let bytes = d.take(len)?.to_vec();
                 HaMsg::Snapshot { seq, bytes }
             }
-            _ => {
+            4 => {
                 let have_seq = d.u64()?;
                 HaMsg::SyncReq { have_seq }
             }
+            _ => return Err(CheckpointError::Malformed("unknown ha message kind")),
         };
         if d.pos != body.len() {
             return Err(CheckpointError::Malformed("trailing bytes after payload"));
@@ -728,6 +729,19 @@ mod tests {
             for len in 0..wire.len() {
                 assert!(HaMsg::decode(&wire[..len]).is_err(), "truncation to {len} accepted");
             }
+        }
+        // A CRC-valid frame with a kind this build does not know (a newer
+        // peer's) is rejected, not misread as a resync request.
+        for kind in [5u8, 255] {
+            let mut wire = HaMsg::SyncReq { have_seq: 11 }.encode();
+            wire.truncate(wire.len() - 4);
+            wire[5] = kind;
+            let crc = crc32(&wire);
+            wire.extend_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(HaMsg::decode(&wire), Err(CheckpointError::Malformed(_))),
+                "kind {kind} accepted"
+            );
         }
     }
 

@@ -36,6 +36,7 @@ use crate::config::{DispatchMode, LvrmConfig};
 use crate::estimate::PressureTracker;
 use crate::ha::{HaNode, PeerLink, Role};
 use crate::host::{VriHost, VriSpec};
+use crate::ledger::{Ledger, Tally};
 use crate::shard::{FleetNode, ShardMap};
 use crate::topology::CoreMap;
 use crate::vri::{decode_heartbeat, decode_service_rate, VriAdapter, VriHealth};
@@ -1940,6 +1941,24 @@ impl<C: Clock> Lvrm<C> {
     /// Aggregate counters, materialized from the live registry handles.
     pub fn stats(&self) -> LvrmStats {
         self.stats.read()
+    }
+
+    /// The conservation ledger at this instant: identities (A)–(E) over the
+    /// aggregate counters, every VR's admission books, and the dispatch
+    /// targets' counters and queue depths (see [`crate::ledger`]). Computed
+    /// on demand; the per-frame path pays nothing for it.
+    pub fn ledger(&self) -> Ledger {
+        let mut t = Tally::default();
+        for vr in &self.vrs {
+            t.vr(&vr.name, vr.frames_in, vr.admitted, vr.shed);
+            for v in vr.vris.iter().chain(vr.draining.iter().map(|d| &d.adapter)) {
+                t.target(v.dispatched, v.returned, v.dispatch_drops, v.queue_len(), v.egress_len());
+            }
+            if let Some(ring) = &vr.ring {
+                t.target(ring.enqueued, 0, ring.drops, ring.rx.len(), 0);
+            }
+        }
+        t.close(&self.stats.read())
     }
 
     /// The metrics registry every monitor counter publishes into. Clone the

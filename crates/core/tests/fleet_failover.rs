@@ -1,8 +1,8 @@
 //! Sharded monitor fleet acceptance suite (DESIGN.md §15): three shards
 //! partition six VRs by rendezvous hash over an in-process link mesh.
 //! Killing any one shard must re-home all of its VRs to their rendezvous
-//! successors in under a second of simulated time, with all five
-//! conservation identities plus the sixth fleet identity
+//! successors in under a second of simulated time, with every shard's
+//! conservation ledger (`Lvrm::ledger`) plus the sixth fleet identity
 //! (`vrs_owned_total == vrs_declared`) exact after convergence. Seeded
 //! partition storms bounded below the shard-down interval must never
 //! yield two shards accepting the same VR, and a shard that loses
@@ -126,52 +126,6 @@ impl Shard {
     fn epoch(&self) -> u32 {
         self.lvrm.fleet().expect("fleet attached").epoch()
     }
-}
-
-/// All five conservation identities, from the public stats/snapshot
-/// surface. Call on a drained monitor.
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let s = lvrm.stats();
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "(1) global conservation violated {ctx}: {s:?}"
-    );
-    let snap = lvrm.snapshot();
-    for vr in &snap {
-        assert_eq!(
-            vr.frames_in,
-            vr.admitted + vr.shed,
-            "(2) admission identity violated for {} {ctx}",
-            vr.name
-        );
-    }
-    let live_dispatched: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatched).sum();
-    let live_returned: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.returned).sum();
-    let queued: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.queue_len as u64).sum();
-    assert_eq!(
-        live_dispatched + s.retired_dispatched,
-        live_returned + s.retired_returned + queued + s.reclaimed + s.queue_lost,
-        "(3) dispatch identity violated {ctx}: {s:?}"
-    );
-    let live_drops: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        s.dispatch_drops,
-        live_drops + s.retired_dispatch_drops,
-        "(4) drop identity violated {ctx}: {s:?}"
-    );
-    assert_eq!(
-        s.updates_emitted,
-        s.updates_folded + s.updates_lost,
-        "(5) replication identity violated {ctx}: {s:?}"
-    );
 }
 
 /// The sixth (fleet) identity over the surviving members: every declared
@@ -342,7 +296,7 @@ fn killing_any_shard_rehomes_its_vrs_to_the_rendezvous_successor_subsecond() {
             assert_fleet_identity(&live, &format!("{ctx} post-takeover"));
             for s in &live {
                 assert!(s.epoch() > 1, "{ctx}: takeover must bump the directory epoch");
-                assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+                s.lvrm.ledger().assert_holds(&format!("{ctx} shard {}", s.id));
                 assert!(
                     s.lvrm.fleet().unwrap().accepting_new_vrs(),
                     "{ctx}: majority survivors keep quorum"
@@ -437,7 +391,7 @@ fn takeover_without_a_shadow_cold_adopts() {
     let live: Vec<&Shard> = shards.iter().flatten().collect();
     assert_fleet_identity(&live, &ctx);
     for s in &live {
-        assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+        s.lvrm.ledger().assert_holds(&format!("{ctx} shard {}", s.id));
     }
     let _ = victim;
 }
@@ -485,7 +439,7 @@ fn fleet_storm_never_yields_two_owners_for_a_vr() {
                     1,
                     "{ctx}: a bounded storm must never bury a live shard (false takeover)"
                 );
-                assert_identities(&s.lvrm, &format!("{ctx} shard {}", s.id));
+                s.lvrm.ledger().assert_holds(&format!("{ctx} shard {}", s.id));
             }
         }
     }
@@ -546,7 +500,7 @@ fn minority_survivor_serves_owned_vrs_but_never_absorbs_the_fleet() {
         s.lvrm.stats().frames_out > before,
         "{ctx}: owned VRs must keep serving without quorum"
     );
-    assert_identities(&s.lvrm, &ctx);
+    s.lvrm.ledger().assert_holds(&ctx);
 }
 
 /// Intra-shard HA failover must stay invisible to the fleet: shard 0 is a

@@ -1,8 +1,8 @@
 //! Active/standby HA acceptance suite (DESIGN.md §13): pair two monitors
 //! over an in-process peer link, elect the higher-priority one, stream
 //! checkpoint deltas, then kill the master — the standby must promote from
-//! its shadow in under a second with flow affinity and all four
-//! conservation identities exact. A seeded advert-loss/partition storm must
+//! its shadow in under a second with flow affinity kept and the
+//! conservation ledger (`Lvrm::ledger`) exact. A seeded advert-loss/partition storm must
 //! never yield two monitors accepting frames at once.
 //!
 //! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (the
@@ -132,47 +132,6 @@ impl Node {
     }
 }
 
-/// All four conservation identities, from the public stats/snapshot
-/// surface. Call on a drained monitor.
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let s = lvrm.stats();
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "(1) global conservation violated {ctx}: {s:?}"
-    );
-    let snap = lvrm.snapshot();
-    for vr in &snap {
-        assert_eq!(
-            vr.frames_in,
-            vr.admitted + vr.shed,
-            "(2) admission identity violated for {} {ctx}",
-            vr.name
-        );
-    }
-    let live_dispatched: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatched).sum();
-    let live_returned: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.returned).sum();
-    let queued: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.queue_len as u64).sum();
-    assert_eq!(
-        live_dispatched + s.retired_dispatched,
-        live_returned + s.retired_returned + queued + s.reclaimed + s.queue_lost,
-        "(3) dispatch identity violated {ctx}: {s:?}"
-    );
-    let live_drops: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        s.dispatch_drops,
-        live_drops + s.retired_dispatch_drops,
-        "(4) drop identity violated {ctx}: {s:?}"
-    );
-}
-
 /// Step both nodes forward to `t_end`, feeding `flows_per_step` frames to
 /// whichever node is accepting, asserting the single-accepting-master
 /// invariant at every step. Returns the final time.
@@ -289,7 +248,7 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         let s_b = b.lvrm.stats();
         assert_eq!(s_b.frames_in, a_stats.frames_in, "{ctx}: counters resume, not reset");
         assert_eq!(s_b.crash_lost, a_stats.crash_lost, "{ctx}");
-        assert_identities(&b.lvrm, &format!("post-promotion {ctx}"));
+        b.lvrm.ledger().assert_holds(&format!("post-promotion {ctx}"));
         let slots_post: Vec<usize> = (0..FLOWS).map(|i| b.probe_slot(i, &mut out)).collect();
         assert_eq!(slots_pre, slots_post, "{ctx}: flow affinity must survive the failover");
 
@@ -305,7 +264,7 @@ fn killed_master_promotes_standby_subsecond_with_exact_books() {
         }
         b.drain(&mut out);
         assert!(b.lvrm.stats().frames_in > before, "{ctx}: promoted master serves traffic");
-        assert_identities(&b.lvrm, &format!("post-promotion traffic {ctx}"));
+        b.lvrm.ledger().assert_holds(&format!("post-promotion traffic {ctx}"));
 
         // Failover metrics surfaced.
         b.lvrm.refresh_registry();
@@ -452,7 +411,7 @@ fn partition_storm_never_yields_two_accepting_masters() {
                 (t2 - t) / 1_000_000
             );
             b.drain(&mut out);
-            assert_identities(&b.lvrm, &ctx);
+            b.lvrm.ledger().assert_holds(&ctx);
         }
     }
 }
@@ -600,7 +559,7 @@ fn lossy_link_resync_is_rate_limited_and_still_converges() {
         master_books.ts_ns = 0;
         shadow.ts_ns = 0;
         assert_eq!(master_books, shadow, "{ctx}: shadow must converge after the storm");
-        assert_identities(&a.lvrm, &ctx);
-        assert_identities(&b.lvrm, &ctx);
+        a.lvrm.ledger().assert_holds(&ctx);
+        b.lvrm.ledger().assert_holds(&ctx);
     }
 }

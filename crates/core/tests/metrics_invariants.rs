@@ -1,9 +1,10 @@
-//! Invariant suite for the observability layer: every [`MetricsSnapshot`]
-//! taken at any instant — mid-burst, mid-fault, mid-drain — must satisfy the
-//! frame-conservation identities exactly, for every `QueueKind`, under
-//! randomized fault chaos. The registry is the *only* source read here: if a
-//! counter moved off the hot path and lost an increment, these identities
-//! break.
+//! Invariant suite for the observability layer, and the oracle for what the
+//! scrape endpoint exports: every [`MetricsSnapshot`] taken at any instant
+//! — mid-burst, mid-fault, mid-drain — must satisfy the frame-conservation
+//! identities exactly, for every `QueueKind`, under randomized fault chaos.
+//! The identities are derived here from the registry alone, independently
+//! of `lvrm_core::Ledger`: if a counter moved off the hot path and lost an
+//! increment, or a gauge stopped mirroring a queue, these identities break.
 //!
 //! Identities checked on every snapshot:
 //!
@@ -24,6 +25,12 @@
 //! excluded by design (counted in `frames_out` at rescue time, mirrored by
 //! the `lvrm_rescued_pending` gauge). (C) counts a reclaimed-then-rehomed
 //! frame once in `reclaimed` and once more in the survivor's `dispatched`.
+//!
+//! Differentially, at every snapshot the monitor's own `Lvrm::ledger()`
+//! must hold and agree with the registry on (B) both sides, (C)'s
+//! dispatched sum and (D)'s per-VRI drop sum. The check stays on monitors
+//! that were never restored from a checkpoint: a restore folds the per-VRI
+//! series into the retired aggregates, which the registry does not carry.
 //!
 //! Set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to restrict the sweep (the
 //! CI matrix does this); unset runs both.
@@ -88,8 +95,11 @@ fn g(snap: &MetricsSnapshot, name: &str) -> u64 {
     snap.gauge(name, &[]).unwrap_or(0.0).round() as u64
 }
 
-/// Assert identities (A)–(D) on one snapshot.
-fn assert_snapshot_invariants(snap: &MetricsSnapshot, ctx: &str) {
+/// Assert identities (A)–(E) on a fresh snapshot, and that the monitor's
+/// ledger holds and agrees with the registry. Returns the snapshot.
+fn assert_invariants(lvrm: &Lvrm<ManualClock>, ctx: &str) -> MetricsSnapshot {
+    let taken = lvrm.metrics_snapshot();
+    let snap = &taken;
     // (B) global conservation, instantaneous.
     let frames_in = c(snap, "lvrm_frames_in_total");
     let accounted = c(snap, "lvrm_frames_out_total")
@@ -145,6 +155,18 @@ fn assert_snapshot_invariants(snap: &MetricsSnapshot, ctx: &str) {
         c(snap, "lvrm_repl_updates_folded_total") + c(snap, "lvrm_repl_updates_lost_total"),
         "(E) replication identity violated {ctx}"
     );
+
+    let ledger = lvrm.ledger();
+    ledger.assert_holds(ctx);
+    assert_eq!(ledger.global.lhs, frames_in, "ledger vs registry: (B) lhs {ctx}");
+    assert_eq!(ledger.global.rhs, accounted, "ledger vs registry: (B) rhs {ctx}");
+    assert_eq!(ledger.dispatch.lhs, dispatched, "ledger vs registry: (C) lhs {ctx}");
+    assert_eq!(
+        ledger.drops.rhs,
+        snap.counter_sum("lvrm_vri_dispatch_drops_total"),
+        "ledger vs registry: (D) rhs {ctx}"
+    );
+    taken
 }
 
 /// Drive one randomized fault storm against one queue kind, snapshotting
@@ -189,7 +211,7 @@ fn storm(kind: QueueKind, seed: u64) {
             .collect();
         lvrm.ingress_batch(&mut burst, &mut host);
         // Mid-step: dispatched frames sit in data queues, visible as gauges.
-        assert_snapshot_invariants(&lvrm.metrics_snapshot(), &format!("after ingress {ctx}"));
+        assert_invariants(&lvrm, &format!("after ingress {ctx}"));
 
         host.apply(t);
         host.inner.pump();
@@ -199,7 +221,7 @@ fn storm(kind: QueueKind, seed: u64) {
         // queues never overflow (a full egress queue drops silently in the
         // vehicle, which no monitor-side counter can see).
         lvrm.poll_egress(&mut out);
-        assert_snapshot_invariants(&lvrm.metrics_snapshot(), &format!("after step {ctx}"));
+        assert_invariants(&lvrm, &format!("after step {ctx}"));
     }
 
     // Settle: pump/relay/collect until nothing moves, then the queues must
@@ -212,9 +234,8 @@ fn storm(kind: QueueKind, seed: u64) {
             break;
         }
     }
-    let snap = lvrm.metrics_snapshot();
     let ctx = format!("(kind {kind:?}, seed {seed}, settled)");
-    assert_snapshot_invariants(&snap, &ctx);
+    let snap = assert_invariants(&lvrm, &ctx);
     assert_eq!(g(&snap, "lvrm_egress_queued"), 0, "egress drained {ctx}");
 
     // The snapshot's per-VR counters agree with the monitor's own view.
@@ -238,7 +259,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Randomized chaos storms: every snapshot at every instant satisfies
-    /// (A)–(D), for every queue kind in the sweep.
+    /// (A)–(E) and agrees with the ledger, for every queue kind in the sweep.
     #[test]
     fn snapshot_invariants_hold_under_chaos(seed in any::<u64>()) {
         for kind in queue_kinds() {

@@ -2,13 +2,9 @@
 //! weighted shedding, the control-plane starvation guard, hitless drain on
 //! shrink, and clean shutdown — all against the manual clock, no sleeps.
 //!
-//! Every test that finishes with drained queues asserts the conservation
-//! identity:
-//!
-//! ```text
-//! frames_in == frames_out + unclassified + dispatch_drops + no_vri_drops
-//!              + shrink_lost + crash_lost + quarantined_drops + shed_early
-//! ```
+//! Every test that finishes with drained queues closes the books with
+//! `Lvrm::ledger().assert_holds`: conservation identities (A)–(E) of
+//! `lvrm_core::ledger`.
 //!
 //! The `overload_soak` storm (release CI soak leg; `-- --ignored`) sweeps
 //! every `QueueKind` — set `LVRM_CHAOS_QUEUE` to `lamport` or `vlink` to
@@ -18,7 +14,7 @@ use std::net::Ipv4Addr;
 
 use lvrm_core::alloc::AllocDecision;
 use lvrm_core::{
-    AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig, LvrmStats,
+    AffinityMode, AllocatorKind, Clock, CoreId, CoreMap, CoreTopology, Lvrm, LvrmConfig,
     ManualClock, RecordingHost, VriId,
 };
 use lvrm_ipc::channels::ControlEvent;
@@ -52,33 +48,6 @@ fn frame_from(src: [u8; 4]) -> Frame {
 
 fn burst_from(subnet_third: u8, n: usize) -> Vec<Frame> {
     (0..n).map(|i| frame_from([10, 0, subnet_third, (i % 250) as u8 + 1])).collect()
-}
-
-fn assert_conserved(s: &LvrmStats) {
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "conservation identity violated: {s:?}"
-    );
-}
-
-fn assert_drop_identity(lvrm: &Lvrm<ManualClock>) {
-    let adapters: u64 =
-        lvrm.snapshot().iter().flat_map(|vr| vr.vris.clone()).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        lvrm.stats().dispatch_drops,
-        adapters + lvrm.stats().retired_dispatch_drops,
-        "dispatch_drops must equal adapter sum ({adapters}) + retired ({}): {:?}",
-        lvrm.stats().retired_dispatch_drops,
-        lvrm.stats()
-    );
 }
 
 /// Pump/relay/collect until nothing moves (no simulated time advances).
@@ -147,13 +116,10 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     assert_eq!(lvrm.vr_admission_counts(a), (16 + 12 + 12, 4 + 4), "weight-3 quota is 12 of 16");
     assert_eq!(lvrm.vr_admission_counts(b), (16 + 4 + 4, 12 + 12), "weight-1 quota is 4 of 16");
 
-    // Per-VR shed sums to the aggregate, and frames_in == admitted + shed.
-    let snaps = lvrm.snapshot();
-    let shed_sum: u64 = snaps.iter().map(|v| v.shed).sum();
+    // Per-VR shed sums to the aggregate, and the admission identities hold.
+    let shed_sum: u64 = lvrm.snapshot().iter().map(|v| v.shed).sum();
     assert_eq!(shed_sum, lvrm.stats().shed_early);
-    for v in &snaps {
-        assert_eq!(v.frames_in, v.admitted + v.shed, "per-VR admission identity: {v}");
-    }
+    lvrm.ledger().assert_holds("(overloaded, queues full)");
 
     // Draining the queues recovers Normal (hysteresis releases below the
     // low watermark) and the books balance exactly.
@@ -162,8 +128,7 @@ fn overloaded_vrs_are_held_to_their_weighted_quota() {
     lvrm.ingress_batch(&mut burst_from(1, 1), &mut host);
     assert_eq!(lvrm.vr_pressure(a), PressureLevel::Normal, "drained VR recovers");
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    lvrm.ledger().assert_holds("(overloaded_vrs_are_held_to_their_weighted_quota)");
 }
 
 /// With shedding off (the default), the same overload degrades to pure
@@ -195,7 +160,7 @@ fn shedding_off_degrades_to_tail_drop() {
     assert!(tail_dropped > 0, "overload tail-drops: {:?}", lvrm.stats());
     let mut out = Vec::new();
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
+    lvrm.ledger().assert_holds("(shedding_off_degrades_to_tail_drop)");
 }
 
 // ---------------------------------------------------------------------------
@@ -336,8 +301,7 @@ fn shrink_drains_hitlessly_with_zero_loss() {
     assert_eq!(lvrm.stats().shrink_lost, 0, "happy-path drain loses nothing: {:?}", lvrm.stats());
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    lvrm.ledger().assert_holds("(shrink_drains_hitlessly_with_zero_loss)");
     assert_eq!(lvrm.stats().frames_in, lvrm.stats().frames_out, "every frame forwarded");
 }
 
@@ -415,8 +379,7 @@ fn stalled_drain_is_bounded_by_the_deadline_and_rehomes() {
     );
 
     drain(&mut lvrm, &mut host, &mut out);
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    lvrm.ledger().assert_holds("(stalled_drain_is_bounded_by_the_deadline_and_rehomes)");
 }
 
 // ---------------------------------------------------------------------------
@@ -459,8 +422,7 @@ fn shutdown_drains_everything_and_conserves() {
     // Late arrivals are quiesced, counted, and conserved.
     lvrm.ingress_batch(&mut burst_from(1, 3), &mut host);
     assert_eq!(lvrm.stats().shed_early, 3, "post-shutdown ingress is shed, not lost");
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    lvrm.ledger().assert_holds("(shutdown_drains_everything_and_conserves)");
 
     // Idempotent: a second call is a completed no-op.
     assert!(lvrm.shutdown(deadline, &mut host));
@@ -549,10 +511,8 @@ fn storm(kind: QueueKind, seed: u64) -> u64 {
     }
     drain(&mut lvrm, &mut host, &mut out);
 
-    assert_conserved(&lvrm.stats());
-    assert_drop_identity(&lvrm);
+    lvrm.ledger().assert_holds(&format!("(storm {kind:?} seed {seed})"));
     for v in &lvrm.snapshot() {
-        assert_eq!(v.frames_in, v.admitted + v.shed, "per-VR admission identity: {v}");
         assert!(v.vris.is_empty(), "no VRI survives shutdown: {v}");
     }
     let relayed = lvrm.stats().control_relayed + lvrm.stats().control_drops;

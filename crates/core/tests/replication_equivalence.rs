@@ -15,9 +15,10 @@
 //!     monitor fed the identical frame sequence.
 //!  3. `storm_*` — randomized `FaultPlan` chaos across every `QueueKind`
 //!     (honouring `LVRM_CHAOS_QUEUE` like the rest of the chaos matrix):
-//!     identity (E) must hold on every snapshot, and no replica book may
-//!     ever exceed the injected ground truth (folding is never-twice even
-//!     when batches are replayed, reordered, or half-lost).
+//!     the monitor's ledger, identity (E) included, must hold at every
+//!     step, and no replica book may ever exceed the injected ground truth
+//!     (folding is never-twice even when batches are replayed, reordered,
+//!     or half-lost).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -275,14 +276,6 @@ fn c(snap: &MetricsSnapshot, name: &str) -> u64 {
     snap.counter(name, &[]).unwrap_or(0)
 }
 
-fn assert_identity_e(snap: &MetricsSnapshot, ctx: &str) {
-    assert_eq!(
-        c(snap, "lvrm_repl_updates_emitted_total"),
-        c(snap, "lvrm_repl_updates_folded_total") + c(snap, "lvrm_repl_updates_lost_total"),
-        "(E) replication identity violated {ctx}"
-    );
-}
-
 /// Drive `frames` through a monitor with `cores` VRIs in `mode` dispatch;
 /// returns (per-VRI ledgers, final snapshot). Pumps every step so nothing
 /// overflows: the clean runs must be loss-free to be comparable.
@@ -317,6 +310,7 @@ fn drive(
         lvrm.process_control();
         lvrm.poll_egress(&mut out);
     }
+    lvrm.ledger().assert_holds(&format!("(kind {kind:?}, {mode:?}, {cores} cores)"));
     let snap = lvrm.metrics_snapshot();
     let ledgers = host.ledgers.iter().map(|(id, l)| (id.0, l.clone())).collect();
     (ledgers, snap)
@@ -343,8 +337,6 @@ fn monitor_replicated_books_match_pinned_single_vri() {
 
             assert_eq!(c(&psnap, "lvrm_dispatch_drops_total"), 0, "clean pinned run {ctx}");
             assert_eq!(c(&rsnap, "lvrm_dispatch_drops_total"), 0, "clean replicated run {ctx}");
-            assert_identity_e(&psnap, &ctx);
-            assert_identity_e(&rsnap, &ctx);
             assert_eq!(c(&rsnap, "lvrm_repl_updates_lost_total"), 0, "clean run {ctx}");
             assert!(
                 c(&rsnap, "lvrm_repl_updates_emitted_total") > 0,
@@ -405,22 +397,22 @@ fn monitor_mid_stream_flip_to_replicated_is_safe() {
             host.pump();
             lvrm.process_control();
             lvrm.poll_egress(&mut out);
-            assert_identity_e(&lvrm.metrics_snapshot(), &format!("(kind {kind:?}, step {i})"));
+            lvrm.ledger().assert_holds(&format!("(kind {kind:?}, step {i})"));
         }
         for _ in 0..4 {
             host.pump();
             lvrm.process_control();
             lvrm.poll_egress(&mut out);
         }
+        lvrm.ledger().assert_holds(&format!("(kind {kind:?}, settled)"));
         let snap = lvrm.metrics_snapshot();
-        assert_identity_e(&snap, &format!("(kind {kind:?}, settled)"));
         assert!(c(&snap, "lvrm_repl_updates_emitted_total") > 0, "flip took effect {kind:?}");
     }
 }
 
 /// Layer 3: randomized fault storms (crashes, stalls, lossy control) with
-/// replicated dispatch, across the queue-kind matrix. Identity (E) must
-/// hold on every snapshot, and no surviving ledger may ever exceed the
+/// replicated dispatch, across the queue-kind matrix. The ledger, identity
+/// (E) included, must hold at every step, and no surviving ledger may ever exceed the
 /// injected per-flow ground truth — at-most-once folding under chaos.
 fn storm(kind: QueueKind, seed: u64) {
     const STEPS: u64 = if cfg!(miri) { 8 } else { 30 };
@@ -467,10 +459,7 @@ fn storm(kind: QueueKind, seed: u64) {
         lvrm.process_control();
         lvrm.maybe_reallocate(t, &mut host);
         lvrm.poll_egress(&mut out);
-        assert_identity_e(
-            &lvrm.metrics_snapshot(),
-            &format!("(kind {kind:?}, seed {seed}, step {step})"),
-        );
+        lvrm.ledger().assert_holds(&format!("(kind {kind:?}, seed {seed}, step {step})"));
     }
     loop {
         let processed = host.inner.pump();
@@ -481,7 +470,7 @@ fn storm(kind: QueueKind, seed: u64) {
         }
     }
     let ctx = format!("(kind {kind:?}, seed {seed}, settled)");
-    assert_identity_e(&lvrm.metrics_snapshot(), &ctx);
+    lvrm.ledger().assert_holds(&ctx);
 
     // At-most-once folding: chaos may lose updates (replicas fall behind)
     // but no interleaving of crashes, respawns, relays and retries may ever

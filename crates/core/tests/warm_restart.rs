@@ -1,6 +1,6 @@
 //! Warm-restart acceptance suite (DESIGN.md §10): kill a monitor, restore
-//! its successor from the checkpoint, and prove that flow affinity and all
-//! four conservation identities survive the restart epoch — for every
+//! its successor from the checkpoint, and prove that flow affinity and the
+//! conservation ledger (`Lvrm::ledger`) survive the restart epoch — for every
 //! `QueueKind`. In-flight frames at checkpoint time are not wished away:
 //! the fold charges them to `crash_lost`/`queue_lost`, so the restored
 //! books balance to the frame.
@@ -132,51 +132,6 @@ fn probe_slot(
     hits[0]
 }
 
-/// All four conservation identities, from the public stats/snapshot
-/// surface. Call on a drained monitor (queues and egress rings empty).
-fn assert_identities(lvrm: &Lvrm<ManualClock>, ctx: &str) {
-    let s = lvrm.stats();
-    // (1) global frame conservation.
-    assert_eq!(
-        s.frames_in,
-        s.frames_out
-            + s.unclassified
-            + s.dispatch_drops
-            + s.no_vri_drops
-            + s.shrink_lost
-            + s.crash_lost
-            + s.quarantined_drops
-            + s.shed_early,
-        "(1) global conservation violated {ctx}: {s:?}"
-    );
-    let snap = lvrm.snapshot();
-    // (2) per-VR admission.
-    for vr in &snap {
-        assert_eq!(
-            vr.frames_in,
-            vr.admitted + vr.shed,
-            "(2) admission identity violated for {} {ctx}",
-            vr.name
-        );
-    }
-    // (3) dispatch identity over live + draining + retired series.
-    let live_dispatched: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatched).sum();
-    let live_returned: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.returned).sum();
-    let queued: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.queue_len as u64).sum();
-    assert_eq!(
-        live_dispatched + s.retired_dispatched,
-        live_returned + s.retired_returned + queued + s.reclaimed + s.queue_lost,
-        "(3) dispatch identity violated {ctx}: {s:?}"
-    );
-    // (4) drop identity.
-    let live_drops: u64 = snap.iter().flat_map(|v| &v.vris).map(|v| v.dispatch_drops).sum();
-    assert_eq!(
-        s.dispatch_drops,
-        live_drops + s.retired_dispatch_drops,
-        "(4) drop identity violated {ctx}: {s:?}"
-    );
-}
-
 /// The acceptance scenario: warm up, checkpoint, kill, restore — flow
 /// affinity and every identity must survive into the new epoch, and the
 /// counters must resume rather than reset.
@@ -220,7 +175,7 @@ fn restart_preserves_affinity_and_all_identities() {
 
         // Identities hold the instant the restore lands, before any new
         // traffic: the fold already accounted the previous life.
-        assert_identities(&lvrm_b, &format!("post-restore {kind:?}"));
+        lvrm_b.ledger().assert_holds(&format!("post-restore {kind:?}"));
         let s_b = lvrm_b.stats();
         assert_eq!(s_b.frames_in, ck.stats.frames_in, "{kind:?}: counters resume, not reset");
         assert_eq!(s_b.crash_lost, ck.stats.crash_lost, "{kind:?}");
@@ -257,7 +212,7 @@ fn restart_preserves_affinity_and_all_identities() {
             sent_before + 10 * FLOWS as u64,
             "{kind:?}: new-epoch ingress accumulates on the restored baseline"
         );
-        assert_identities(&lvrm_b, &format!("post-restore traffic {kind:?}"));
+        lvrm_b.ledger().assert_holds(&format!("post-restore traffic {kind:?}"));
 
         std::fs::remove_file(&path).ok();
     }
@@ -299,7 +254,7 @@ fn mid_flight_frames_are_charged_to_the_restart() {
         lvrm_b.add_vr("deptA", &subnet(), routed_vr("a"), &mut host_b);
         lvrm_b.restore_from(&path, &mut host_b).expect("restore must succeed");
 
-        assert_identities(&lvrm_b, &format!("mid-flight restore {kind:?}"));
+        lvrm_b.ledger().assert_holds(&format!("mid-flight restore {kind:?}"));
         assert_eq!(lvrm_b.stats().crash_lost, stranded, "{kind:?}");
 
         std::fs::remove_file(&path).ok();
@@ -407,7 +362,7 @@ fn chained_restarts_soak() {
 
                 let steps = 10 + xorshift() % 30;
                 run_traffic(&mut lvrm, &clock, &mut host, t0 + STEP_NS, steps, &mut out);
-                assert_identities(&lvrm, &format!("soak gen {generation} {kind:?} seed {seed}"));
+                lvrm.ledger().assert_holds(&format!("soak gen {generation} {kind:?} seed {seed}"));
 
                 let slots: Vec<usize> =
                     (0..FLOWS).map(|i| probe_slot(&mut lvrm, &mut host, vr, i, &mut out)).collect();

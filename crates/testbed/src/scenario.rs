@@ -188,10 +188,12 @@ pub struct ScenarioResult {
     /// flow-table occupancy is still visible): per-VR pressure, admission
     /// counters, flow stats, and per-VRI state (LVRM only).
     pub vr_snapshots: Vec<lvrm_core::monitor::VrSnapshot>,
-    /// Final metrics-registry snapshot — after the shutdown drain when
-    /// `drain_shutdown` is set — the conservation-identity input (LVRM
-    /// only).
+    /// Final metrics-registry snapshot, after the shutdown drain when
+    /// `drain_shutdown` is set (LVRM only).
     pub metrics: Option<lvrm_metrics::MetricsSnapshot>,
+    /// The monitor's conservation ledger, read at the same point as
+    /// `metrics` (LVRM only).
+    pub ledger: Option<lvrm_core::Ledger>,
     /// Frames dropped at the NIC rings.
     pub ring_drops: u64,
     /// FNV-1a digests of every LVSU state-update batch flushed by a VRI, in
@@ -1139,15 +1141,16 @@ impl<'s> World<'s> {
                 lvrm.poll_egress(&mut out);
             }
         }
-        let (realloc, per_vri, lvrm_stats, supervision, metrics) = match &self.mech {
+        let (realloc, per_vri, lvrm_stats, supervision, metrics, ledger) = match &self.mech {
             Mech::Lvrm { lvrm, vr_ids, .. } => (
                 lvrm.realloc_log.clone(),
                 vr_ids.iter().map(|id| lvrm.vri_dispatch_counts(*id)).collect(),
                 Some(lvrm.stats()),
                 lvrm.supervision_log.clone(),
                 Some(lvrm.metrics_snapshot()),
+                Some(lvrm.ledger()),
             ),
-            _ => (Vec::new(), Vec::new(), None, Vec::new(), None),
+            _ => (Vec::new(), Vec::new(), None, Vec::new(), None, None),
         };
         ScenarioResult {
             duration_ns: self.sc.duration_ns,
@@ -1176,6 +1179,7 @@ impl<'s> World<'s> {
             supervision,
             vr_snapshots,
             metrics,
+            ledger,
             ring_drops: self.ring_drops,
             repl_trace: self.repl_trace,
         }

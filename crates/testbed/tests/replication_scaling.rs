@@ -17,7 +17,7 @@ fn elephant_scales_with_replicated_dispatch() {
     let repl4 = elephant_flow(4, true, SEED).run();
 
     for (name, r) in [("pinned", &pinned), ("repl2", &repl2), ("repl4", &repl4)] {
-        r.conservation.assert_all(&format!("(elephant {name})"));
+        r.conservation.assert_holds(&format!("(elephant {name})"));
     }
     assert_eq!(pinned.updates_emitted(), 0, "pinned dispatch replicates nothing");
     assert!(repl2.updates_emitted() > 0, "replicated dispatch must emit state updates");
@@ -80,10 +80,11 @@ fn replicated_elephant_spreads_across_vris() {
 
 /// The same claim on *real* VRI threads (spawned via `ThreadHost`, the
 /// runtime's host): replicated dispatch spreads one elephant flow across
-/// every live VRI while pinned dispatch rides one, with the global frame
-/// books conserved on both. Ignored by default — it spawns OS threads and
-/// its throughput depends on the box — run with `cargo test -- --ignored`;
-/// the `repl_scaling_threads` bench row records the measured rates.
+/// every live VRI while pinned dispatch rides one, with the monitor's
+/// conservation ledger exact on both. Ignored by default — it spawns OS
+/// threads and its throughput depends on the box — run with `cargo test --
+/// --ignored`; the `repl_scaling_threads` bench row records the measured
+/// rates.
 #[test]
 #[ignore = "spawns real VRI threads; run with -- --ignored"]
 fn elephant_spreads_on_real_vri_threads() {
@@ -153,14 +154,9 @@ fn elephant_spreads_on_real_vri_threads() {
         }
         let elapsed_ns = clock.now_ns() - t0;
         let dispatches = lvrm.vri_dispatch_counts(vr);
-        let s = lvrm.stats();
-        assert_eq!(
-            s.frames_in,
-            s.frames_out + s.dispatch_drops + s.no_vri_drops + s.unclassified + s.shed_early,
-            "global conservation violated on real threads ({mode:?}): {s:?}"
-        );
+        lvrm.ledger().assert_holds(&format!("on real threads ({mode:?})"));
         host.shutdown();
-        (dispatches, out as f64 / (elapsed_ns as f64 / 1e9), s.updates_emitted)
+        (dispatches, out as f64 / (elapsed_ns as f64 / 1e9), lvrm.stats().updates_emitted)
     };
 
     let (pinned, pinned_fps, pinned_updates) = run(DispatchMode::Pinned);

@@ -29,8 +29,8 @@ fn same_spec_and_seed_reproduce_the_run_exactly() {
     let a = diurnal(0xD1CE).run();
     let b = diurnal(0xD1CE).run();
 
-    a.conservation.assert_all("(diurnal, run A)");
-    b.conservation.assert_all("(diurnal, run B)");
+    a.conservation.assert_holds("(diurnal, run A)");
+    b.conservation.assert_holds("(diurnal, run B)");
 
     let fa = fingerprint(&a);
     let fb = fingerprint(&b);
@@ -46,8 +46,8 @@ fn same_spec_and_seed_reproduce_the_run_exactly() {
 fn different_seed_changes_the_flow_trace() {
     let a = diurnal(1).run();
     let b = diurnal(2).run();
-    a.conservation.assert_all("(diurnal, seed 1)");
-    b.conservation.assert_all("(diurnal, seed 2)");
+    a.conservation.assert_holds("(diurnal, seed 1)");
+    b.conservation.assert_holds("(diurnal, seed 2)");
     assert_ne!(
         fingerprint(&a).0,
         fingerprint(&b).0,
@@ -62,8 +62,8 @@ fn different_seed_changes_the_flow_trace() {
 fn elephant_replication_trace_is_deterministic() {
     let a = elephant_flow(2, true, 0xE1E).run();
     let b = elephant_flow(2, true, 0xE1E).run();
-    a.conservation.assert_all("(elephant, run A)");
-    b.conservation.assert_all("(elephant, run B)");
+    a.conservation.assert_holds("(elephant, run A)");
+    b.conservation.assert_holds("(elephant, run B)");
     assert!(!a.result.repl_trace.is_empty(), "replicated run must emit state updates");
     assert_eq!(a.result.repl_trace, b.result.repl_trace, "replicated-update traces diverged");
     assert_eq!(fingerprint(&a), fingerprint(&b), "elephant fingerprints diverged");
@@ -77,8 +77,8 @@ fn elephant_replication_trace_is_deterministic() {
 fn elephant_replication_trace_consumes_the_seed() {
     let a = elephant_flow(2, true, 3).run();
     let b = elephant_flow(2, true, 4).run();
-    a.conservation.assert_all("(elephant, seed 3)");
-    b.conservation.assert_all("(elephant, seed 4)");
+    a.conservation.assert_holds("(elephant, seed 3)");
+    b.conservation.assert_holds("(elephant, seed 4)");
     assert_ne!(
         a.result.repl_trace, b.result.repl_trace,
         "seeds 3 and 4 produced identical replicated-update traces"

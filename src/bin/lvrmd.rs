@@ -27,7 +27,7 @@
 //! from the lazy reallocation tick, and a daemon started against an
 //! existing checkpoint resumes from it — counters, flow affinity and
 //! supervisor state survive, under an incremented restore epoch. SIGHUP
-//! forces an immediate checkpoint and prints a conservation report.
+//! forces an immediate checkpoint and prints the conservation ledger.
 //!
 //! `--ha-bind`/`--ha-peer` pair two daemons into an active/standby set
 //! (DESIGN.md §13): VRRP-style adverts elect the higher `--ha-priority`
@@ -73,7 +73,8 @@
 //!
 //! The daemon exits cleanly on SIGINT/SIGTERM (or when `--duration`
 //! elapses): ingress quiesces, every VRI drains its queue and retires, and
-//! a final report checks the frame-conservation identity.
+//! a final report prints the conservation ledger, one identity a line,
+//! each tagged `[exact]` or `[DELTA]`.
 
 use std::net::Ipv4Addr;
 
@@ -488,7 +489,7 @@ fn run(
                 None => println!("SIGUSR1: no HA peer configured"),
             }
         }
-        // SIGHUP: checkpoint now and report conservation, without stopping.
+        // SIGHUP: checkpoint now and print the ledger, without stopping.
         if lvrm::runtime::signal::take_checkpoint_request() {
             match ckpt_path.as_ref() {
                 Some(path) => {
@@ -501,7 +502,7 @@ fn run(
                 }
                 None => println!("SIGHUP: no --checkpoint-path configured"),
             }
-            print_conservation(&lvrm.stats());
+            println!("{}", lvrm.ledger());
         }
         // The 1 s reallocation tick leaves a structured one-line summary.
         if let Some(line) = lvrm.take_tick_line() {
@@ -547,7 +548,7 @@ fn run(
     for vr in lvrm.snapshot() {
         println!("{vr}");
     }
-    print_conservation(&lvrm.stats());
+    println!("{}", lvrm.ledger());
     if nic.reopens + nic.failovers + nic.egress_retries + nic.tx_drops > 0 {
         println!(
             "adapter: reopens {}, failovers {}, egress retries {}, retry-deadline drops {}",
@@ -558,45 +559,6 @@ fn run(
         "\nself-test done: generated {generated}, forwarded {}, echoed back to peer {echoed}",
         lvrm.stats().frames_out
     );
-}
-
-/// The aggregate frame-conservation identity, as one printed line.
-fn print_conservation(s: &LvrmStats) {
-    let accounted = s.frames_out
-        + s.unclassified
-        + s.dispatch_drops
-        + s.no_vri_drops
-        + s.shrink_lost
-        + s.crash_lost
-        + s.quarantined_drops
-        + s.shed_early;
-    println!(
-        "conservation: frames_in {} == out {} + unclassified {} + dispatch_drops {} \
-         + no_vri {} + shrink_lost {} + crash_lost {} + quarantined {} + shed_early {} = {} [{}]",
-        s.frames_in,
-        s.frames_out,
-        s.unclassified,
-        s.dispatch_drops,
-        s.no_vri_drops,
-        s.shrink_lost,
-        s.crash_lost,
-        s.quarantined_drops,
-        s.shed_early,
-        accounted,
-        if s.frames_in == accounted { "exact" } else { "DELTA" },
-    );
-    // Identity (E) only materialises under replicated dispatch; keep the
-    // pinned-mode report one line.
-    if s.updates_emitted + s.updates_folded + s.updates_lost > 0 {
-        println!(
-            "replication: updates_emitted {} == folded {} + lost {} = {} [{}]",
-            s.updates_emitted,
-            s.updates_folded,
-            s.updates_lost,
-            s.updates_folded + s.updates_lost,
-            if s.updates_emitted == s.updates_folded + s.updates_lost { "exact" } else { "DELTA" },
-        );
-    }
 }
 
 fn main() {
