@@ -63,5 +63,31 @@ fn lookup(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, lookup);
+/// A table at capacity, as under router-mix's overflowing working set: a
+/// missing key's lookup, then the insert the balancer attempts for it,
+/// which the full table refuses.
+fn full_table(c: &mut Criterion) {
+    let ks = keys(8192);
+    let (stored, missing) = ks.split_at(4096);
+    let mut g = c.benchmark_group("flow_table/full_4096");
+    g.throughput(Throughput::Elements(1));
+
+    let mut hash = FlowTable::new(stored.len(), u64::MAX);
+    for (i, k) in stored.iter().enumerate() {
+        assert!(hash.insert(*k, VriId(i as u32 % 6), 0));
+    }
+    let mut i = 0usize;
+    g.bench_with_input(BenchmarkId::from_parameter("miss_then_refused_insert"), &(), |b, _| {
+        b.iter(|| {
+            let k = &missing[i % missing.len()];
+            i += 1;
+            let hit = hash.find_and_touch(k, 1);
+            std::hint::black_box((hit, hash.insert(*k, VriId(0), 1)))
+        });
+    });
+    assert_eq!(hash.len(), stored.len());
+    g.finish();
+}
+
+criterion_group!(benches, lookup, full_table);
 criterion_main!(benches);

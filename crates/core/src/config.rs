@@ -237,14 +237,16 @@ pub struct LvrmConfig {
     /// `Lvrm::set_vr_dispatch`). `Replicated` spreads every frame across a
     /// VR's VRIs and replicates per-flow state updates between them.
     pub dispatch: DispatchMode,
-    /// Flow-table slots (flow-based only).
+    /// Flows the flow table pins at once (flow-based only); the table
+    /// spends two slots per flow.
     pub flow_table_capacity: usize,
     /// Idle flows expire after this long (flow-based only).
     pub flow_timeout_ns: u64,
     /// Flow-table slots the incremental aging sweep may visit per 1 s tick
-    /// (flow-based only). `0` = auto: `flow_table_capacity / 8`, floor 64 —
-    /// a full sweep roughly every 8 ticks with tick cost independent of
-    /// table size. See [`LvrmConfig::effective_flow_age_budget`].
+    /// (flow-based only). `0` = auto: `flow_table_capacity / 4`, floor 64 —
+    /// a full sweep of the `2 * flow_table_capacity` slots roughly every 8
+    /// ticks with tick cost independent of table size. See
+    /// [`LvrmConfig::effective_flow_age_budget`].
     pub flow_age_budget: usize,
     /// Core-allocation policy.
     pub allocator: AllocatorKind,
@@ -586,14 +588,14 @@ impl LvrmConfig {
     }
 
     /// Per-tick flow-aging slot budget: the explicit knob, or the
-    /// `flow_table_capacity / 8` (floor 64) auto default when left at `0`.
+    /// `flow_table_capacity / 4` (floor 64) auto default when left at `0`.
     /// With the default 1 s tick a full sweep finishes in ≈8 s, well inside
     /// the 30 s flow timeout, while the tick's aging cost stays O(budget).
     pub fn effective_flow_age_budget(&self) -> usize {
         if self.flow_age_budget > 0 {
             self.flow_age_budget
         } else {
-            (self.flow_table_capacity / 8).max(64)
+            (self.flow_table_capacity / 4).max(64)
         }
     }
 
@@ -672,6 +674,13 @@ mod tests {
         assert!(
             matches!(c.allocator, AllocatorKind::DynamicFixed { per_core_rate } if per_core_rate == 60_000.0)
         );
+    }
+
+    #[test]
+    fn auto_age_budget_laps_the_flow_table_in_eight_ticks() {
+        let c = LvrmConfig::default();
+        let table = crate::flowtable::FlowTable::new(c.flow_table_capacity, c.flow_timeout_ns);
+        assert!(8 * c.effective_flow_age_budget() >= table.slots());
     }
 
     #[test]

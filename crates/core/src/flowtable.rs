@@ -11,6 +11,21 @@
 //! timestamp (the paper updates flow timestamps via `times()`); expired and
 //! dead-VRI entries are reclaimed lazily during probes.
 //!
+//! **Load bound.** The slot array is twice the entry capacity, so the load
+//! factor never exceeds 1/2 and every probe chain ends at an empty slot
+//! within a few slots — a full table costs a miss no more than a half-empty
+//! one. An insert into a full table is refused after walking only the
+//! key's own chain, never the whole array.
+//!
+//! **Full-table reclaim.** A full table still makes room for a new flow if
+//! any stored entry has expired, on the key's chain or not: that entry is
+//! evicted and the key inserted on its own chain. The table keeps a lower
+//! bound on the earliest instant any entry can expire (the minimum of
+//! `last_seen_ns + timeout`), lowered by every write of a timestamp; only
+//! past that bound does a refused insert scan for an expired entry, and a
+//! scan that finds none recomputes the bound exactly. So a full table of
+//! live flows scans at most once per timeout, not once per refused insert.
+//!
 //! At million-flow scale, lazy probe-time reclamation alone lets dead flows
 //! silt the table up: an expired entry is only noticed when a probe happens
 //! to cross it, so under churn the table fills with corpses and inserts
@@ -19,7 +34,7 @@
 //! 1 s tick drives it), evicting expired entries as it goes. Every pass is
 //! O(budget), never a full-table scan, so the tick cost stays bounded no
 //! matter how large the table is; a full sweep completes across
-//! `capacity / budget` consecutive ticks.
+//! `slots / budget` consecutive ticks.
 
 use lvrm_net::FlowKey;
 
@@ -38,11 +53,11 @@ struct Entry {
 pub struct FlowTableStats {
     /// Stored entries (may include expired-but-unswept flows).
     pub len: usize,
-    /// Slot-array size.
+    /// Entries the table can hold (the slot array is twice this).
     pub capacity: usize,
     /// Expired entries evicted so far (lazy probe hits + aging sweeps).
     pub evictions: u64,
-    /// Insertions refused because the probe chain was full.
+    /// Insertions refused because the table was full of live flows.
     pub overflows: u64,
     /// Slots visited by [`FlowTable::age_step`] so far (proof the tick work
     /// is bounded: grows by at most the configured budget per tick).
@@ -62,10 +77,15 @@ impl FlowTableStats {
 
 /// Fixed-capacity connection-tracking table.
 pub struct FlowTable {
+    /// `2 * capacity` slots: at most half of them are ever occupied.
     slots: Box<[Option<Entry>]>,
     mask: usize,
+    capacity: usize,
     timeout_ns: u64,
     len: usize,
+    /// Lower bound on every stored entry's `last_seen_ns + timeout_ns`:
+    /// while `now` is at or below it, no entry is expired.
+    next_expiry_ns: u64,
     /// Insertions refused because the table was full (observability).
     pub overflows: u64,
     /// Next slot the incremental aging sweep will visit.
@@ -78,15 +98,18 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// `capacity` rounds up to a power of two; `timeout_ns` expires idle
-    /// flows (TCP flows silent that long have effectively closed).
+    /// `capacity` rounds up to a power of two (at least 16) entries, held in
+    /// twice as many slots; `timeout_ns` expires idle flows (TCP flows
+    /// silent that long have effectively closed).
     pub fn new(capacity: usize, timeout_ns: u64) -> FlowTable {
         let cap = capacity.max(16).next_power_of_two();
         FlowTable {
-            slots: vec![None; cap].into_boxed_slice(),
-            mask: cap - 1,
+            slots: vec![None; 2 * cap].into_boxed_slice(),
+            mask: 2 * cap - 1,
+            capacity: cap,
             timeout_ns,
             len: 0,
+            next_expiry_ns: u64::MAX,
             overflows: 0,
             age_cursor: 0,
             evictions: 0,
@@ -98,7 +121,7 @@ impl FlowTable {
     pub fn stats(&self) -> FlowTableStats {
         FlowTableStats {
             len: self.len,
-            capacity: self.slots.len(),
+            capacity: self.capacity,
             evictions: self.evictions,
             overflows: self.overflows,
             age_sweep_slots: self.age_sweep_slots,
@@ -114,64 +137,123 @@ impl FlowTable {
         self.len == 0
     }
 
+    /// Entries the table holds before it refuses new flows.
     pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Length of the slot array (`2 * capacity`): one aging lap.
+    pub fn slots(&self) -> usize {
         self.slots.len()
     }
 
+    fn home(&self, key: &FlowKey) -> usize {
+        key.hash64() as usize & self.mask
+    }
+
+    /// The instant after which `e` counts as expired.
+    fn expiry(&self, e: &Entry) -> u64 {
+        e.last_seen_ns.saturating_add(self.timeout_ns)
+    }
+
     fn expired(&self, e: &Entry, now_ns: u64) -> bool {
-        now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns
+        now_ns > self.expiry(e)
+    }
+
+    /// Write `e` into slot `i`, keeping `next_expiry_ns` a lower bound.
+    fn store(&mut self, i: usize, e: Entry) {
+        self.next_expiry_ns = self.next_expiry_ns.min(self.expiry(&e));
+        self.slots[i] = Some(e);
+    }
+
+    /// Slot holding `key`, if it is stored.
+    fn find_slot(&self, key: &FlowKey) -> Option<usize> {
+        let mut i = self.home(key);
+        loop {
+            match &self.slots[i] {
+                None => return None,
+                Some(e) if e.key == *key => return Some(i),
+                Some(_) => i = (i + 1) & self.mask,
+            }
+        }
     }
 
     /// Look up `key`; on a live hit, refresh its timestamp and return its
     /// VRI ("hash table find the entry with current timestamp and add flag",
-    /// Fig. 3.3). Expired entries encountered on the probe path are removed.
+    /// Fig. 3.3). An expired entry found for `key` is removed.
     pub fn find_and_touch(&mut self, key: &FlowKey, now_ns: u64) -> Option<VriId> {
-        let mut i = key.hash64() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &mut self.slots[i] {
-                None => return None,
-                Some(e) if e.key == *key => {
-                    if self.expired(&self.slots[i].unwrap(), now_ns) {
-                        self.remove_at(i);
-                        self.evictions += 1;
-                        return None;
-                    }
-                    let e = self.slots[i].as_mut().expect("just matched");
-                    e.last_seen_ns = now_ns;
-                    return Some(e.vri);
-                }
-                Some(_) => i = (i + 1) & self.mask,
-            }
+        let i = self.find_slot(key)?;
+        let e = self.slots[i].expect("found slot is occupied");
+        if self.expired(&e, now_ns) {
+            self.remove_at(i);
+            self.evictions += 1;
+            return None;
         }
-        None
+        self.store(i, Entry { last_seen_ns: now_ns, ..e });
+        Some(e.vri)
     }
 
-    /// Insert or update `key -> vri`.
+    /// Insert or update `key -> vri`. Returns `false` (and counts an
+    /// overflow) only when the table is full and no stored entry is expired.
     pub fn insert(&mut self, key: FlowKey, vri: VriId, now_ns: u64) -> bool {
-        let mut i = key.hash64() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &mut self.slots[i] {
-                slot @ None => {
-                    *slot = Some(Entry { key, vri, last_seen_ns: now_ns });
-                    self.len += 1;
-                    return true;
-                }
-                Some(e) if e.key == key => {
-                    e.vri = vri;
-                    e.last_seen_ns = now_ns;
-                    return true;
-                }
-                Some(e) if now_ns.saturating_sub(e.last_seen_ns) > self.timeout_ns => {
-                    // Reclaim an expired stranger's slot.
-                    *e = Entry { key, vri, last_seen_ns: now_ns };
-                    self.evictions += 1;
-                    return true;
-                }
-                Some(_) => i = (i + 1) & self.mask,
+        let entry = Entry { key, vri, last_seen_ns: now_ns };
+        // Walk the whole chain: the key may sit behind an expired stranger
+        // whose slot would otherwise be reclaimed for a duplicate.
+        let mut reclaim = None;
+        let mut i = self.home(&key);
+        while let Some(e) = &self.slots[i] {
+            if e.key == key {
+                self.store(i, entry);
+                return true;
+            }
+            if reclaim.is_none() && self.expired(e, now_ns) {
+                reclaim = Some(i);
+            }
+            i = (i + 1) & self.mask;
+        }
+        if let Some(r) = reclaim {
+            // An expired stranger's slot on the key's own chain.
+            self.store(r, entry);
+            self.evictions += 1;
+            return true;
+        }
+        if self.len == self.capacity {
+            if !self.evict_one_expired(now_ns) {
+                self.overflows += 1;
+                return false;
+            }
+            // The eviction's backshift may have reshaped the chain.
+            i = self.home(&key);
+            while self.slots[i].is_some() {
+                i = (i + 1) & self.mask;
             }
         }
-        self.overflows += 1;
-        false
+        self.store(i, entry);
+        self.len += 1;
+        true
+    }
+
+    /// Full-table reclaim: evict one expired entry anywhere in the table.
+    /// Scans only once `now_ns` passes `next_expiry_ns`; a scan that finds
+    /// nothing expired tightens the bound to the exact earliest expiry.
+    fn evict_one_expired(&mut self, now_ns: u64) -> bool {
+        if now_ns <= self.next_expiry_ns {
+            return false;
+        }
+        let victim =
+            self.slots.iter().position(|s| s.as_ref().is_some_and(|e| self.expired(e, now_ns)));
+        match victim {
+            Some(i) => {
+                self.remove_at(i);
+                self.evictions += 1;
+                true
+            }
+            None => {
+                self.next_expiry_ns =
+                    self.slots.iter().flatten().map(|e| self.expiry(e)).min().unwrap_or(u64::MAX);
+                false
+            }
+        }
     }
 
     /// Advance the incremental aging sweep: advance the cursor over up to
@@ -180,19 +262,18 @@ impl FlowTable {
     /// is charged to the evicted entry, which it permanently removes, so the
     /// amortized tick cost is O(budget) regardless of table size. This is
     /// what the monitor's 1 s tick calls instead of a full-table scan; a
-    /// complete pass takes `ceil(capacity / budget)` calls.
+    /// complete pass takes `ceil(slots / budget)` calls.
     ///
     /// The scan is mutation-free: expired keys are collected over the budget
     /// window first and removed afterwards, so every slot in the window is
     /// examined exactly once and each expired entry is evicted exactly once
     /// (a positional evict-as-you-go sweep would re-examine slots the
     /// backshift refills). Combined with the cursor rewind in [`remove_at`],
-    /// a lap over `capacity` slots is guaranteed to evict every entry that
-    /// was expired when its slot was swept — even when probe-time lazy
-    /// expiry relocates entries across the cursor between windows.
+    /// a lap over all slots is guaranteed to evict every entry that was
+    /// expired when its slot was swept — even when probe-time lazy expiry
+    /// relocates entries across the cursor between windows.
     pub fn age_step(&mut self, now_ns: u64, budget: usize) -> usize {
-        let cap = self.slots.len();
-        let budget = budget.min(cap);
+        let budget = budget.min(self.slots.len());
         let mut i = self.age_cursor & self.mask;
         let mut expired_keys: Vec<FlowKey> = Vec::new();
         for _ in 0..budget {
@@ -240,16 +321,8 @@ impl FlowTable {
 
     /// Remove `key` wherever it currently sits on its probe chain.
     fn remove_key(&mut self, key: &FlowKey) {
-        let mut i = key.hash64() as usize & self.mask;
-        for _ in 0..self.slots.len() {
-            match &self.slots[i] {
-                None => return,
-                Some(e) if e.key == *key => {
-                    self.remove_at(i);
-                    return;
-                }
-                Some(_) => i = (i + 1) & self.mask,
-            }
+        if let Some(i) = self.find_slot(key) {
+            self.remove_at(i);
         }
     }
 
@@ -261,14 +334,12 @@ impl FlowTable {
         let mut j = (i + 1) & self.mask;
         while let Some(e) = self.slots[j] {
             self.slots[j] = None;
-            self.len -= 1;
             // Re-insert preserves its timestamp.
-            let mut k = e.key.hash64() as usize & self.mask;
+            let mut k = self.home(&e.key);
             while self.slots[k].is_some() {
                 k = (k + 1) & self.mask;
             }
             self.slots[k] = Some(e);
-            self.len += 1;
             // Backshift can carry an entry across the aging cursor: from a
             // slot the sweep had yet to visit to one it already passed (a
             // slot freed and refilled within the same budget window). Rewind
@@ -408,10 +479,10 @@ mod tests {
         for n in 0..80 {
             t.insert(key(n), VriId(0), 0);
         }
-        // One cursor lap with budget == capacity clears the whole table:
-        // the mutation-free scan sees every slot exactly once, so no
-        // relocation can hide an expired entry from it.
-        let evicted = t.age_step(1_000_000, t.capacity());
+        // One cursor lap with budget == slots clears the whole table: the
+        // mutation-free scan sees every slot exactly once, so no relocation
+        // can hide an expired entry from it.
+        let evicted = t.age_step(1_000_000, t.slots());
         assert_eq!(evicted, 80);
         assert_eq!(t.len(), 0);
         assert_eq!(t.stats().evictions, 80);
@@ -437,7 +508,7 @@ mod tests {
         let mut t = FlowTable::new(64, 1_000);
         t.insert(key(1), VriId(1), 0);
         t.insert(key(2), VriId(2), 900);
-        let evicted = t.age_step(1_500, t.capacity());
+        let evicted = t.age_step(1_500, t.slots());
         assert_eq!(evicted, 1); // key(1) idle 1500 > 1000; key(2) idle 600.
         assert_eq!(t.find_and_touch(&key(2), 1_500), Some(VriId(2)));
         assert_eq!(t.find_and_touch(&key(1), 1_500), None);
@@ -447,8 +518,8 @@ mod tests {
     fn age_step_on_empty_table_is_harmless() {
         let mut t = FlowTable::new(16, 100);
         assert_eq!(t.age_step(1_000, 1_000_000), 0);
-        // Budget clamps to capacity.
-        assert_eq!(t.stats().age_sweep_slots, 16);
+        // Budget clamps to the slot count.
+        assert_eq!(t.stats().age_sweep_slots, 32);
     }
 
     #[test]
@@ -463,18 +534,15 @@ mod tests {
         assert_eq!(t.stats().evictions, 1);
     }
 
-    /// Keys whose home slot in a 16-slot table is 0, for crafting probe
+    /// Keys whose home slot in a 16-entry table is 0, for crafting probe
     /// chains with known geometry.
     fn home0_keys(want: usize) -> Vec<FlowKey> {
-        let mut out = Vec::new();
-        for n in 0..=u8::MAX {
-            if key(n).hash64() as usize & 15 == 0 {
-                out.push(key(n));
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
+        let mask = FlowTable::new(16, 0).slots() - 1;
+        let out: Vec<FlowKey> = (0..=u16::MAX)
+            .map(|port| FlowKey { src_port: port, ..key(0) })
+            .filter(|k| k.hash64() as usize & mask == 0)
+            .take(want)
+            .collect();
         assert_eq!(out.len(), want, "not enough colliding keys in search space");
         out
     }
@@ -501,7 +569,7 @@ mod tests {
         assert_eq!(t.find_and_touch(&a, 200), None);
         // The remainder of the lap (plus rewind slack) must evict X.
         let mut evicted = 0;
-        for _ in 0..8 {
+        for _ in 0..t.slots() / 2 {
             evicted += t.age_step(200, 2);
         }
         assert!(
@@ -526,10 +594,46 @@ mod tests {
         // All six share one probe chain and all are expired: one full-budget
         // call must evict each exactly once despite every removal rehoming
         // the survivors.
-        let evicted = t.age_step(1_000, t.capacity());
+        let evicted = t.age_step(1_000, t.slots());
         assert_eq!(evicted, 6);
         assert_eq!(t.stats().evictions, 6);
         assert_eq!(t.len(), 0);
+    }
+
+    /// Regression: `insert` reclaimed the first expired stranger on the
+    /// key's chain without looking further along it, so a key stored behind
+    /// that stranger ended up in the table twice.
+    #[test]
+    fn insert_updates_a_key_behind_an_expired_stranger() {
+        let k = home0_keys(2);
+        let (x, flow) = (k[0], k[1]);
+        let mut t = FlowTable::new(16, 100);
+        assert!(t.insert(x, VriId(0), 0)); // slot 0 (home)
+        assert!(t.insert(flow, VriId(1), 0)); // slot 1
+        assert_eq!(t.find_and_touch(&flow, 90), Some(VriId(1)));
+        // X is expired at t=150, the flow is not: update it in place.
+        assert!(t.insert(flow, VriId(2), 150));
+        assert_eq!(t.entries().filter(|(k, _, _)| *k == flow).count(), 1, "duplicate key");
+        assert_eq!(t.len(), t.entries().count());
+        assert_eq!(t.find_and_touch(&flow, 150), Some(VriId(2)));
+    }
+
+    #[test]
+    fn full_table_refuses_after_its_chain_and_reclaims_once_expired() {
+        let mut t = FlowTable::new(16, 100);
+        for n in 0..16 {
+            assert!(t.insert(key(n), VriId(0), n as u64));
+        }
+        assert_eq!(t.slots(), 32);
+        // Nothing can expire before t=100: refused without a scan.
+        assert!(!t.insert(key(99), VriId(1), 100));
+        assert_eq!(t.stats().overflows, 1);
+        // key(0) expired at t=101: evicted to make room, wherever it sits.
+        assert!(t.insert(key(99), VriId(1), 101));
+        assert_eq!(t.len(), 16);
+        assert_eq!(t.stats().evictions, 1);
+        assert_eq!(t.find_and_touch(&key(0), 101), None);
+        assert_eq!(t.find_and_touch(&key(99), 101), Some(VriId(1)));
     }
 
     #[test]

@@ -220,11 +220,11 @@ proptest! {
                     table.age_step(now, budget as usize);
                 }
                 AgeOp::FullSweep => {
-                    // Two budget=capacity calls guarantee a complete lap
-                    // even when backshift relocates entries behind the
-                    // cursor mid-pass.
-                    table.age_step(now, CAPACITY);
-                    table.age_step(now, CAPACITY);
+                    // Two budget=slots calls guarantee a complete lap even
+                    // when backshift relocates entries behind the cursor
+                    // mid-pass.
+                    table.age_step(now, table.slots());
+                    table.age_step(now, table.slots());
                     model.age_full_scan(now);
                     let live: HashMap<u8, VriId> =
                         model.map.iter().map(|(k, (v, _))| (*k, *v)).collect();
@@ -268,14 +268,106 @@ proptest! {
             }
         }
         // Endgame: one complete sweep on both sides must converge them.
-        table.age_step(now, CAPACITY);
-        table.age_step(now, CAPACITY);
+        table.age_step(now, table.slots());
+        table.age_step(now, table.slots());
         model.age_full_scan(now);
         let live: HashMap<u8, VriId> = model.map.iter().map(|(k, (v, _))| (*k, *v)).collect();
         prop_assert_eq!(table_contents(&table), live, "final live sets diverged");
         // And every survivor still answers with its pinned VRI.
         for (k, (vri, _)) in model.map.clone() {
             prop_assert_eq!(table.find_and_touch(&key(k), now), Some(vri));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Over capacity: more keys than the table holds.
+
+#[derive(Clone, Debug)]
+enum FullOp {
+    Insert { key: u8, vri: u8 },
+    Find { key: u8 },
+    PurgeVri { vri: u8 },
+    AgeStep { budget: u8 },
+    Advance { by: u32 },
+}
+
+fn full_ops() -> impl Strategy<Value = Vec<FullOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            // Insert-heavy with short advances, so the table spends most of
+            // a script full while entries still expire under it.
+            24 => (any::<u8>(), 0u8..6).prop_map(|(key, vri)| FullOp::Insert { key, vri }),
+            6 => any::<u8>().prop_map(|key| FullOp::Find { key }),
+            1 => (0u8..6).prop_map(|vri| FullOp::PurgeVri { vri }),
+            3 => (1u8..65).prop_map(|budget| FullOp::AgeStep { budget }),
+            4 => (1u32..1500).prop_map(|by| FullOp::Advance { by }),
+        ],
+        0..2 * AGE_STEPS,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(AGE_CASES))]
+
+    /// A 64-entry table against 256 keys spends most of its life full. It
+    /// must still never store a key twice, never hold more than its
+    /// capacity, refuse a flow only when it is full of live flows, and
+    /// never lose a live flow it accepted.
+    #[test]
+    fn over_capacity_table_stays_consistent(script in full_ops()) {
+        const TIMEOUT: u64 = 10_000;
+        const CAPACITY: usize = 64;
+        let mut table = FlowTable::new(CAPACITY, TIMEOUT);
+        let mut model: HashMap<u8, (VriId, u64)> = HashMap::new();
+        let mut now: u64 = 0;
+        for op in script {
+            match op {
+                FullOp::Insert { key: k, vri } => {
+                    if table.insert(key(k), VriId(vri as u32), now) {
+                        model.insert(k, (VriId(vri as u32), now));
+                    } else {
+                        prop_assert_eq!(table.len(), CAPACITY, "refused below capacity");
+                        prop_assert!(
+                            table.entries().all(|(_, _, seen)| now - seen <= TIMEOUT),
+                            "refused {} at t={} with an expired entry stored", k, now
+                        );
+                    }
+                }
+                FullOp::Find { key: k } => {
+                    let got = table.find_and_touch(&key(k), now);
+                    let expect = match model.get(&k) {
+                        Some((vri, seen)) if now - seen <= TIMEOUT => Some(*vri),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, expect, "find({}) at t={}", k, now);
+                    match got {
+                        Some(_) => model.get_mut(&k).unwrap().1 = now,
+                        None => {
+                            model.remove(&k);
+                        }
+                    }
+                }
+                FullOp::PurgeVri { vri } => {
+                    table.purge_vri(VriId(vri as u32));
+                    model.retain(|_, (v, _)| *v != VriId(vri as u32));
+                }
+                FullOp::AgeStep { budget } => {
+                    table.age_step(now, budget as usize);
+                }
+                FullOp::Advance { by } => now += by as u64,
+            }
+            let stored: Vec<(FlowKey, VriId, u64)> = table.entries().collect();
+            let contents: HashMap<u8, VriId> =
+                stored.iter().map(|(k, vri, _)| (k.src.octets()[3], *vri)).collect();
+            prop_assert_eq!(contents.len(), stored.len(), "a key is stored twice");
+            prop_assert_eq!(table.len(), stored.len());
+            prop_assert!(table.len() <= CAPACITY);
+            for (k, (vri, seen)) in &model {
+                if now - seen <= TIMEOUT {
+                    prop_assert_eq!(contents.get(k), Some(vri), "live flow {} lost at t={}", k, now);
+                }
+            }
         }
     }
 }
